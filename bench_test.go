@@ -19,7 +19,6 @@ import (
 
 	"comfort/internal/corpus"
 	"comfort/internal/js/ast"
-	"comfort/internal/js/lint"
 	"comfort/internal/js/parser"
 
 	"math/rand"
@@ -151,7 +150,7 @@ func BenchmarkAblationLMOrder(b *testing.B) {
 			valid := 0
 			const n = 200
 			for j := 0; j < n; j++ {
-				if lint.Valid(g.Generate(rng)) {
+				if _, err := parser.Parse(g.Generate(rng)); err == nil {
 					valid++
 				}
 			}
@@ -303,12 +302,12 @@ func BenchmarkCampaignThroughputMapScopes(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res := campaign.Run(campaign.Config{
-			Fuzzer:         fuzzers.NewComfort(),
-			Testbeds:       engines.Testbeds(),
-			Cases:          120,
-			Seed:           2021,
-			Workers:        8,
-			DisableResolve: true,
+			Fuzzer:   fuzzers.NewComfort(),
+			Testbeds: engines.Testbeds(),
+			Cases:    120,
+			Seed:     2021,
+			Workers:  8,
+			Mode:     engines.Mode{DisableResolve: true},
 		})
 		executed += int64(res.Executed)
 	}
@@ -346,14 +345,13 @@ func BenchmarkCampaignThroughputInterpBound(b *testing.B) {
 			var executed int64
 			for i := 0; i < b.N; i++ {
 				res := campaign.Run(campaign.Config{
-					Fuzzer:         &loopFuzzer{},
-					Testbeds:       engines.Testbeds(),
-					Cases:          30,
-					Seed:           2021,
-					Workers:        8,
-					Fuel:           2_000_000,
-					DisableCompile: mode.disableCompile,
-					DisableResolve: mode.disableRes,
+					Fuzzer:   &loopFuzzer{},
+					Testbeds: engines.Testbeds(),
+					Cases:    30,
+					Seed:     2021,
+					Workers:  8,
+					Fuel:     2_000_000,
+					Mode:     engines.Mode{DisableCompile: mode.disableCompile, DisableResolve: mode.disableRes},
 				})
 				executed += int64(res.Executed)
 			}

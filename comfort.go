@@ -7,8 +7,8 @@
 // The package is a thin façade over the implementation:
 //
 //   - internal/js/...    — a complete ECMAScript interpreter (the engine
-//     substrate: lexer, parser, evaluator, stdlib, regex engine, lint,
-//     coverage)
+//     substrate: lexer, parser, evaluator, stdlib, regex engine, static
+//     analysis, coverage)
 //   - internal/engines   — ten engine families × 52 versions with a
 //     catalog of 158 seeded conformance defects reproducing the paper's
 //     Tables 2–5 and Figure 7

@@ -134,12 +134,12 @@ func TestCampaignAnalyzeOracle(t *testing.T) {
 	// actually exercised (asserted below), not just vacuously equal.
 	run := func(disable bool) *Result {
 		return Run(Config{
-			Fuzzer:         fuzzers.NewCodeAlchemist(),
-			Testbeds:       engines.Testbeds(),
-			Cases:          150,
-			Seed:           2021,
-			Workers:        4,
-			DisableAnalyze: disable,
+			Fuzzer:   fuzzers.NewCodeAlchemist(),
+			Testbeds: engines.Testbeds(),
+			Cases:    150,
+			Seed:     2021,
+			Workers:  4,
+			Mode:     engines.Mode{DisableAnalyze: disable},
 		})
 	}
 	on := run(false)

@@ -46,29 +46,9 @@ type Config struct {
 	ReduceWitnesses bool
 	// DisableDedup turns the Figure-6 filter off (ablation).
 	DisableDedup bool
-	// DisableResolve keeps execution on the interpreter's dynamic
-	// map-scope path instead of the slot-indexed resolve-once path — the
-	// oracle/ablation knob, threaded through to the exec scheduler.
-	DisableResolve bool
-	// DisableCompile keeps execution on the (resolved) tree-walking
-	// evaluator instead of the compile-once thunk path — the oracle and
-	// ablation knob for internal/js/compile, threaded through to the
-	// scheduler, attribution and reduction just like DisableResolve.
-	DisableCompile bool
-	// DisableShapes keeps objects on dictionary-mode property maps and the
-	// compiled evaluator's inline caches empty — the oracle and ablation
-	// knob for the hidden-class object layout, threaded through exactly
-	// like DisableCompile.
-	DisableShapes bool
-	// DisableAnalyze turns the static-analysis products off at the
-	// campaign level: executions recompute the early-error verdict from
-	// the AST instead of the analyze-once cached report, and the sink
-	// performs no divergence-risk suppression or feature accounting — the
-	// oracle and ablation knob for internal/js/analyze. Early-error
-	// semantics are identical in both modes, so the findings of a
-	// DisableAnalyze campaign are exactly the default campaign's findings
-	// plus the flagged-nondeterministic families it suppressed.
-	DisableAnalyze bool
+	// Mode selects the evaluator implementations for the scheduler,
+	// attribution and reduction alike.
+	engines.Mode
 	// Context cancels the campaign early; Run returns the findings
 	// accounted so far. Nil means context.Background().
 	Context context.Context
@@ -359,18 +339,15 @@ func run(cfg Config) (*Result, error) {
 
 	// Stage 2: the scheduler.
 	sched := exec.New(exec.Config{
-		Testbeds:       cfg.Testbeds,
-		Workers:        cfg.Workers,
-		Fuel:           cfg.Fuel,
-		Seed:           cfg.Seed,
-		DisableResolve: cfg.DisableResolve,
-		DisableCompile: cfg.DisableCompile,
-		DisableShapes:  cfg.DisableShapes,
-		DisableAnalyze: cfg.DisableAnalyze,
-		CaseDeadline:   cfg.CaseDeadline,
-		Clock:          cfg.Clock,
-		Faults:         cfg.Faults,
-		Gate:           cfg.Gate,
+		Testbeds:     cfg.Testbeds,
+		Workers:      cfg.Workers,
+		Fuel:         cfg.Fuel,
+		Seed:         cfg.Seed,
+		Mode:         cfg.Mode,
+		CaseDeadline: cfg.CaseDeadline,
+		Clock:        cfg.Clock,
+		Faults:       cfg.Faults,
+		Gate:         cfg.Gate,
 	})
 	outcomes := sched.Run(ctx, caseCh)
 
@@ -620,9 +597,7 @@ func reduceFinding(ctx context.Context, f *Finding, cfg Config) string {
 	// The predicate replays divergences on the same evaluator path the
 	// campaign observed them on, and shares one compiled candidate between
 	// the defect and reference executions when parser options coincide.
-	opts := engines.RunOptions{Fuel: cfg.Fuel, Seed: cfg.Seed,
-		DisableResolve: cfg.DisableResolve, DisableCompile: cfg.DisableCompile,
-		DisableShapes: cfg.DisableShapes, DisableAnalyze: cfg.DisableAnalyze}
+	opts := engines.RunOptions{Fuel: cfg.Fuel, Seed: cfg.Seed, Mode: cfg.Mode}
 	buggy := engines.NewDefectRunner(f.Defect, f.strict)
 	ref := engines.NewDefectRunner(nil, f.strict)
 	return reduce.Parallel(f.TestCase, engines.DivergesRunners(buggy, ref, opts),
@@ -653,9 +628,7 @@ func accountCase(cfg Config, res *Result, tree *dedup.Tree, src string, cr difft
 			continue
 		}
 		attributed := engines.Attribute(src, dev.Testbed,
-			engines.RunOptions{Fuel: cfg.Fuel, Seed: cfg.Seed,
-				DisableResolve: cfg.DisableResolve, DisableCompile: cfg.DisableCompile,
-				DisableShapes: cfg.DisableShapes, DisableAnalyze: cfg.DisableAnalyze})
+			engines.RunOptions{Fuel: cfg.Fuel, Seed: cfg.Seed, Mode: cfg.Mode})
 		if len(attributed) == 0 {
 			res.UnattributedFindings++
 			continue

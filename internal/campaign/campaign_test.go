@@ -10,6 +10,7 @@ import (
 	"comfort/internal/engines"
 	"comfort/internal/exec"
 	"comfort/internal/fuzzers"
+	"comfort/internal/js/cov"
 )
 
 // TestComfortCampaignFindsSeededBugs runs a small COMFORT campaign over the
@@ -419,5 +420,29 @@ func TestTablesRender(t *testing.T) {
 	}
 	if !strings.Contains(Table2(fd), "158") {
 		t.Error("Table 2 must contain the paper total 158")
+	}
+}
+
+// TestFigure9EmptyDenominator renders a row whose profile has no branches:
+// the branch cell reads n/a (0/0), not cov's nothing-to-cover 100%, and
+// every percentage carries its hit/total counts.
+func TestFigure9EmptyDenominator(t *testing.T) {
+	out := renderFigure9([]QualityMetrics{{
+		Name: "straight-line", Valid: 3, Programs: 4,
+		Coverage: cov.Profile{StmtTotal: 10, StmtHit: 9, FuncTotal: 1, FuncHit: 1},
+	}})
+	var row string
+	for _, line := range strings.Split(out, "\n") {
+		if strings.Contains(line, "straight-line") {
+			row = line
+		}
+	}
+	for _, want := range []string{"75.0% (3/4)", "90.0% (9/10)", "100.0% (1/1)"} {
+		if !strings.Contains(row, want) {
+			t.Errorf("row lacks %q:\n%s", want, out)
+		}
+	}
+	if !strings.HasSuffix(strings.TrimSpace(row), "n/a (0/0)") {
+		t.Errorf("empty branch denominator not rendered as n/a (0/0):\n%s", out)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"comfort/internal/engines"
 	"comfort/internal/faultinject"
 	"comfort/internal/fuzzers"
 )
@@ -513,4 +514,25 @@ func TestWriteCheckpointHook(t *testing.T) {
 		t.Fatalf("failing hook counted %d successful checkpoints", failed.Checkpoints)
 	}
 	requireSameAccounting(t, "failing hook", want, failed)
+}
+
+// TestFingerprintGolden pins the checkpoint fingerprint of a config with
+// every evaluator-mode field and DisableDedup set: checkpoints written by
+// earlier builds must keep resuming, so the rendering may not drift.
+func TestFingerprintGolden(t *testing.T) {
+	cfg := Config{
+		Fuzzer: &fixedFuzzer{}, Testbeds: engines.Testbeds()[:2],
+		Cases: 40, Seed: 7, Fuel: 1000,
+		Faults: faultinject.New(faultinject.Config{Seed: 3, PanicEvery: 5}),
+	}
+	cfg.DisableDedup = true
+	cfg.DisableResolve, cfg.DisableCompile = true, true
+	cfg.DisableShapes, cfg.DisableAnalyze = true, true
+	const want = "comfort-campaign/v1 fuzzer=fixed seed=7 cases=40 fuel=1000 " +
+		"testbeds=V8/V8.5@0e44fef#normal,V8/V8.5@0e44fef#strict " +
+		"dedup=false resolve=false compile=false shapes=false analyze=false " +
+		"faults=seed=3,panic=5,slow=0,probes=2"
+	if got := fingerprint(cfg); got != want {
+		t.Errorf("fingerprint drifted:\n got %s\nwant %s", got, want)
+	}
 }

@@ -61,7 +61,7 @@ func TestEvaluatorOracle(t *testing.T) {
 				}
 				rProg, rErr := p.Parse(src)
 				resolvedRes := p.ExecParsed(rProg, rErr, opts)
-				mProg, mErr := p.ParseUnresolved(src)
+				mProg, mErr := engines.Mode{DisableResolve: true}.Parse(src, p.ParseOptions())
 				mapRes := p.ExecParsed(mProg, mErr, opts)
 				if resolvedRes.Semantics() != mapRes.Semantics() {
 					t.Fatalf("%s case %d on %s: evaluator paths diverge\nresolved: %+v\nmap:      %+v\nprogram:\n%s",
@@ -183,12 +183,12 @@ func TestShapesOracle(t *testing.T) {
 func TestCampaignShapesOracle(t *testing.T) {
 	run := func(disable bool) *Result {
 		return Run(Config{
-			Fuzzer:        fuzzers.NewComfort(),
-			Testbeds:      engines.Testbeds(),
-			Cases:         150,
-			Seed:          2021,
-			Workers:       4,
-			DisableShapes: disable,
+			Fuzzer:   fuzzers.NewComfort(),
+			Testbeds: engines.Testbeds(),
+			Cases:    150,
+			Seed:     2021,
+			Workers:  4,
+			Mode:     engines.Mode{DisableShapes: disable},
 		})
 	}
 	shaped := run(false)
@@ -221,12 +221,12 @@ func TestCampaignShapesOracle(t *testing.T) {
 func TestCampaignCompileOracle(t *testing.T) {
 	run := func(disable bool) *Result {
 		return Run(Config{
-			Fuzzer:         fuzzers.NewComfort(),
-			Testbeds:       engines.Testbeds(),
-			Cases:          150,
-			Seed:           2021,
-			Workers:        4,
-			DisableCompile: disable,
+			Fuzzer:   fuzzers.NewComfort(),
+			Testbeds: engines.Testbeds(),
+			Cases:    150,
+			Seed:     2021,
+			Workers:  4,
+			Mode:     engines.Mode{DisableCompile: disable},
 		})
 	}
 	compiled := run(false)
@@ -257,12 +257,12 @@ func TestCampaignCompileOracle(t *testing.T) {
 func TestCampaignResolveOracle(t *testing.T) {
 	run := func(disable bool) *Result {
 		return Run(Config{
-			Fuzzer:         fuzzers.NewComfort(),
-			Testbeds:       engines.Testbeds(),
-			Cases:          150,
-			Seed:           2021,
-			Workers:        4,
-			DisableResolve: disable,
+			Fuzzer:   fuzzers.NewComfort(),
+			Testbeds: engines.Testbeds(),
+			Cases:    150,
+			Seed:     2021,
+			Workers:  4,
+			Mode:     engines.Mode{DisableResolve: disable},
 		})
 	}
 	resolved := run(false)

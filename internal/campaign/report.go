@@ -10,7 +10,6 @@ import (
 	"comfort/internal/fuzzers"
 	"comfort/internal/js/cov"
 	"comfort/internal/js/interp"
-	"comfort/internal/js/lint"
 	"comfort/internal/js/parser"
 )
 
@@ -382,13 +381,18 @@ func figure8Testbeds() []engines.Testbed {
 	return out
 }
 
-// QualityMetrics holds one fuzzer's Figure-9 measurements.
+// QualityMetrics holds one fuzzer's Figure-9 measurements: the counts
+// (Valid of Programs generated programs parse; Coverage merges the valid
+// programs' profiles) and the rates derived from them.
 type QualityMetrics struct {
 	Name        string
 	PassingRate float64
 	StmtCov     float64
 	FuncCov     float64
 	BranchCov   float64
+	Valid       int
+	Programs    int
+	Coverage    cov.Profile
 }
 
 // Figure9 measures syntax passing rate and statement/function/branch
@@ -397,39 +401,46 @@ func Figure9(n int, seed int64) (string, []QualityMetrics) {
 	var all []QualityMetrics
 	for _, f := range fuzzers.All() {
 		rng := rand.New(rand.NewSource(seed))
-		valid := 0
-		var merged cov.Profile
-		covered := 0
+		m := QualityMetrics{Name: f.Name(), Programs: n}
 		for i := 0; i < n; i++ {
 			src := generateForQuality(f, rng)
-			if !lint.Valid(src) {
-				continue
-			}
-			valid++
 			prog, err := parser.Parse(src)
 			if err != nil {
 				continue
 			}
+			m.Valid++
 			c := interp.NewCoverage()
 			_ = engines.Reference(src, false, engines.RunOptions{Fuel: 150000, Seed: seed, Cov: c})
-			merged = cov.Merge(merged, cov.Measure(prog, c))
-			covered++
+			m.Coverage = cov.Merge(m.Coverage, cov.Measure(prog, c))
 		}
-		m := QualityMetrics{
-			Name:        f.Name(),
-			PassingRate: float64(valid) / float64(n),
-			StmtCov:     merged.StmtRate(),
-			FuncCov:     merged.FuncRate(),
-			BranchCov:   merged.BranchRate(),
-		}
+		m.PassingRate = float64(m.Valid) / float64(n)
+		m.StmtCov = m.Coverage.StmtRate()
+		m.FuncCov = m.Coverage.FuncRate()
+		m.BranchCov = m.Coverage.BranchRate()
 		all = append(all, m)
 	}
+	return renderFigure9(all), all
+}
+
+// renderFigure9 prints every percentage with its hit/total counts beside
+// it, and an empty denominator as n/a rather than cov's Istanbul-style
+// 100%.
+func renderFigure9(all []QualityMetrics) string {
 	t := &tw{}
 	t.row("Fuzzer", "Passing Rate", "Statement Cov.", "Function Cov.", "Branch Cov.")
 	for _, m := range all {
-		t.row(m.Name, pct(m.PassingRate), pct(m.StmtCov), pct(m.FuncCov), pct(m.BranchCov))
+		c := m.Coverage
+		t.row(m.Name, ratio(m.Valid, m.Programs), ratio(c.StmtHit, c.StmtTotal),
+			ratio(c.FuncHit, c.FuncTotal), ratio(c.BranchHit, c.BranchTotal))
 	}
-	return t.render("Figure 9: test-case quality per fuzzer"), all
+	return t.render("Figure 9: test-case quality per fuzzer")
+}
+
+func ratio(hit, total int) string {
+	if total == 0 {
+		return "n/a (0/0)"
+	}
+	return fmt.Sprintf("%.1f%% (%d/%d)", 100*float64(hit)/float64(total), hit, total)
 }
 
 // generateForQuality returns a single raw generated program (the quality
@@ -441,6 +452,3 @@ func generateForQuality(f fuzzers.Fuzzer, rng *rand.Rand) string {
 	batch := f.Next(rng)
 	return batch[0]
 }
-
-// Reference wires engines.Reference with coverage (convenience used above).
-func pct(f float64) string { return fmt.Sprintf("%.1f%%", f*100) }

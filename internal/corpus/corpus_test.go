@@ -3,7 +3,7 @@ package corpus
 import (
 	"testing"
 
-	"comfort/internal/js/lint"
+	"comfort/internal/js/parser"
 )
 
 // Every corpus program must be syntactically valid and every header must
@@ -14,9 +14,8 @@ func TestCorpusProgramsAreValid(t *testing.T) {
 		t.Fatalf("corpus too small: %d programs", len(progs))
 	}
 	for i, p := range progs {
-		if !lint.Valid(p) {
-			res := lint.Check(p)
-			t.Errorf("corpus program %d invalid: %v\n%s", i, res.Err, p)
+		if _, err := parser.Parse(p); err != nil {
+			t.Errorf("corpus program %d invalid: %v\n%s", i, err, p)
 		}
 	}
 }
@@ -27,7 +26,9 @@ func TestHeaders(t *testing.T) {
 		t.Fatalf("too few headers: %d", len(hs))
 	}
 	for _, h := range hs {
-		if !lint.Valid(h+" return 1; };") && !lint.Valid(h+" return 1; }") {
+		_, errSemi := parser.Parse(h + " return 1; };")
+		_, errBare := parser.Parse(h + " return 1; }")
+		if errSemi != nil && errBare != nil {
 			t.Errorf("header %q cannot be completed into a program", h)
 		}
 	}
@@ -40,7 +41,7 @@ func TestFragments(t *testing.T) {
 	}
 	parseable := 0
 	for _, f := range fs {
-		if lint.Valid(f) {
+		if _, err := parser.Parse(f); err == nil {
 			parseable++
 		}
 	}

@@ -267,7 +267,8 @@ type ExecResult struct {
 	// engine is anomalous no matter how little fuel it burned.
 	WallClock bool
 	// ICHit/ICMiss/ICMega count the compiled evaluator's inline-cache
-	// probes for this run (all zero under DisableShapes/DisableCompile).
+	// probes for this run (all zero under Mode.DisableShapes or
+	// Mode.DisableCompile).
 	ICHit, ICMiss, ICMega uint64
 }
 
@@ -291,31 +292,7 @@ type RunOptions struct {
 	Fuel int64
 	Seed int64
 	Cov  *interp.Coverage
-	// DisableResolve keeps the execution on the dynamic map-scope
-	// evaluator instead of the resolve-once slot path — honoured by the
-	// single-defect executors (RunWithDefect, DefectRunner,
-	// DivergesRunners) so a DisableResolve campaign's attribution and
-	// reduction replay on the evaluator that observed the divergence.
-	// The scheduler path carries the same knob in exec.Config instead
-	// (its compiled programs are cached across calls).
-	DisableResolve bool
-	// DisableCompile keeps execution on the (resolved) tree-walking
-	// evaluator instead of the thunk-compiled closure path — the
-	// differential oracle and ablation knob for internal/js/compile,
-	// mirrored by exec.Config and campaign.Config for the scheduler path.
-	DisableCompile bool
-	// DisableShapes keeps objects on dictionary-mode property maps and
-	// leaves the compiled evaluator's inline caches empty — the
-	// differential oracle and ablation knob for the hidden-class object
-	// layout, mirrored by exec.Config and campaign.Config.
-	DisableShapes bool
-	// DisableAnalyze bypasses the report cached on the program
-	// (ast.Program.Analysis) and recomputes the early-error verdict from
-	// the AST on every execution — the differential oracle and ablation
-	// knob for internal/js/analyze, mirrored by exec.Config and
-	// campaign.Config. The observable semantics are identical in both
-	// modes; the knob validates the analyze-once publication machinery.
-	DisableAnalyze bool
+	Mode
 	// Watchdog is the wall-clock deadline probe threaded into
 	// interp.Config.Watchdog (see there): polled every
 	// interp.WatchdogStride fuel steps, a true return classifies the run

@@ -8,10 +8,8 @@ import (
 	"comfort/internal/js/analyze"
 	"comfort/internal/js/ast"
 	"comfort/internal/js/builtins"
-	"comfort/internal/js/compile"
 	"comfort/internal/js/interp"
 	"comfort/internal/js/parser"
-	"comfort/internal/js/resolve"
 )
 
 // PreparedTestbed is a testbed with everything that is constant across runs
@@ -23,10 +21,9 @@ import (
 type PreparedTestbed struct {
 	Testbed Testbed
 
-	defects  []*Defect // active defects, catalog order
-	preParse []*Defect // subset with PreParse interceptors
-	hook     interp.Hook
-	baseCfg  interp.Config  // Strict + Configure deltas; Fuel/Seed filled per run
+	defects  []*Defect      // active defects, catalog order
+	preParse []*Defect      // subset with PreParse interceptors
+	baseCfg  interp.Config  // Strict + Configure deltas + hook; per-run fields in newRealm
 	parseOps parser.Options // Strict + ParserOpts deltas
 	behavior string         // mode + active defect IDs; see BehaviorKey
 }
@@ -68,7 +65,7 @@ func prepare(tb Testbed) *PreparedTestbed {
 			p.preParse = append(p.preParse, d)
 		}
 	}
-	p.hook = combineHooks(p.defects, tb.Strict)
+	p.baseCfg.Hook = combineHooks(p.defects, tb.Strict)
 	var b strings.Builder
 	if tb.Strict {
 		b.WriteString("strict")
@@ -118,50 +115,18 @@ func (p *PreparedTestbed) PreParseError(src string) string {
 	return ""
 }
 
-// Parse compiles src under the testbed's resolved parser options: a parse,
-// the resolve-once scope pass, then the compile-once thunk pass, so every
-// execution of the returned program — the scheduler shares it across
-// behaviour classes, and reduction predicates across their two testbeds —
-// dispatches through closure thunks instead of re-walking the AST. The
-// compiled form is sound under the same fingerprint key as the scope
-// annotations: the compiler consumes nothing beyond the resolved AST
-// (hooks, mode and fuel stay per-execution inputs of the shared runtime
-// helpers the thunks call), so parse equivalence implies thunk
-// equivalence.
+// Parse compiles src under the testbed's resolved parser options for the
+// production Mode: a parse, the resolve-once scope pass, the compile-once
+// thunk pass and the analyze-once report, so every execution of the
+// returned program — the scheduler shares it across behaviour classes,
+// and reduction predicates across their two testbeds — dispatches
+// through closure thunks instead of re-walking the AST. The compiled form
+// is sound under the same fingerprint key as the scope annotations: the
+// compiler consumes nothing beyond the resolved AST (hooks, mode and fuel
+// stay per-execution inputs of the shared runtime helpers the thunks
+// call), so parse equivalence implies thunk equivalence.
 func (p *PreparedTestbed) Parse(src string) (*ast.Program, error) {
-	prog, err := parser.ParseWith(src, p.parseOps)
-	if err == nil {
-		resolve.Program(prog)
-		compile.Program(prog)
-		analyze.Program(prog)
-	}
-	return prog, err
-}
-
-// ParseResolved parses and scope-resolves src without the thunk-compile
-// pass — the compiled-evaluator ablation's parse mode (the tree walker
-// executes the resolved AST directly).
-func (p *PreparedTestbed) ParseResolved(src string) (*ast.Program, error) {
-	prog, err := parser.ParseWith(src, p.parseOps)
-	if err == nil {
-		resolve.Program(prog)
-		analyze.Program(prog)
-	}
-	return prog, err
-}
-
-// ParseUnresolved parses src without the resolve pass, leaving execution on
-// the interpreter's dynamic map-scope path. It exists for the differential
-// oracle that cross-checks the evaluator paths (and the campaign
-// ablation behind exec.Config.DisableResolve). The static analysis still
-// attaches — it consumes nothing but the raw AST, so every evaluator
-// ablation keeps identical early-error semantics.
-func (p *PreparedTestbed) ParseUnresolved(src string) (*ast.Program, error) {
-	prog, err := parser.ParseWith(src, p.parseOps)
-	if err == nil {
-		analyze.Program(prog)
-	}
-	return prog, err
+	return Mode{}.Parse(src, p.parseOps)
 }
 
 // PreParseResult renders a PreParseError message as its ExecResult.
@@ -169,26 +134,14 @@ func PreParseResult(msg string) ExecResult {
 	return ExecResult{Outcome: OutcomeParseError, Error: msg, ErrName: "SyntaxError"}
 }
 
-// Run executes src on the prepared testbed: pre-parse interceptors,
-// compile (or plain parse under RunOptions.DisableResolve), then Exec.
+// Run executes src on the prepared testbed: pre-parse interceptors, a
+// parse finished for opts.Mode, then Exec.
 func (p *PreparedTestbed) Run(src string, opts RunOptions) ExecResult {
 	if msg := p.PreParseError(src); msg != "" {
 		return PreParseResult(msg)
 	}
-	prog, err := p.parseFor(src, opts)
+	prog, err := opts.Mode.Parse(src, p.parseOps)
 	return p.ExecParsed(prog, err, opts)
-}
-
-// parseFor compiles src for an execution under opts, honouring the
-// map-scope and thunk-compile ablation knobs.
-func (p *PreparedTestbed) parseFor(src string, opts RunOptions) (*ast.Program, error) {
-	if opts.DisableResolve {
-		return p.ParseUnresolved(src)
-	}
-	if opts.DisableCompile {
-		return p.ParseResolved(src)
-	}
-	return p.Parse(src)
 }
 
 // ExecParsed adapts an (already pre-parse-checked) parse result — typically
@@ -238,16 +191,19 @@ func earlyErrorResult(prog *ast.Program, opts RunOptions) (ExecResult, bool) {
 // is panic-isolated: an evaluator panic classifies as an OutcomeCrash
 // result (see runGuarded) instead of unwinding into the scheduler.
 func (p *PreparedTestbed) Exec(prog *ast.Program, opts RunOptions) ExecResult {
-	cfg := p.baseCfg
-	cfg.Fuel = opts.Fuel
-	cfg.Seed = opts.Seed
-	cfg.Hook = p.hook
-	cfg.DisableCompile = opts.DisableCompile
-	cfg.DisableShapes = opts.DisableShapes
-	cfg.Watchdog = opts.Watchdog
-	in := builtins.NewRuntime(cfg)
+	return runGuarded(newRealm(p.baseCfg, opts), prog, opts)
+}
+
+// newRealm builds the realm one execution runs in: base carries the
+// testbed's (or single defect's) strictness, config deltas and hook, opts
+// the per-run fuel, seed, evaluator mode, watchdog and coverage sink.
+func newRealm(base interp.Config, opts RunOptions) *interp.Interp {
+	base.Fuel, base.Seed = opts.Fuel, opts.Seed
+	base.DisableCompile, base.DisableShapes = opts.DisableCompile, opts.DisableShapes
+	base.Watchdog = opts.Watchdog
+	in := builtins.NewRuntime(base)
 	in.Cov = opts.Cov
-	return runGuarded(in, prog, opts)
+	return in
 }
 
 // classifyRunError maps an interpreter error to the Figure-5 per-testbed
@@ -305,7 +261,7 @@ func Diverges(a, b *PreparedTestbed, opts RunOptions) func(src string) bool {
 				return PreParseResult(msg)
 			}
 			if !parsed {
-				prog, perr = a.parseFor(src, opts)
+				prog, perr = opts.Mode.Parse(src, a.parseOps)
 				parsed = true
 			}
 			return p.ExecParsed(prog, perr, opts)

@@ -14,7 +14,7 @@ import (
 // at once.
 func TestParseCacheGenerationalEviction(t *testing.T) {
 	p := engines.ReferenceTestbed(false).Prepare()
-	pc := newParseCache(8, false, false) // generations of 4
+	pc := newParseCache(8, engines.Mode{}) // generations of 4
 
 	src := func(i int) string { return fmt.Sprintf("var x%d = %d;", i, i) }
 	for i := 0; i < 12; i++ {
@@ -76,7 +76,7 @@ func missCount(pc *parseCache) int64 {
 // programs come back scope-resolved (and unresolved under DisableResolve).
 func TestParseCacheResolves(t *testing.T) {
 	p := engines.ReferenceTestbed(false).Prepare()
-	pc := newParseCache(16, false, false)
+	pc := newParseCache(16, engines.Mode{})
 	prog, err := pc.parse(p, "function f(){ return 1; } print(f());")
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +84,7 @@ func TestParseCacheResolves(t *testing.T) {
 	if !prog.ResolvedScopes {
 		t.Error("cached program is not resolved")
 	}
-	pcRaw := newParseCache(16, true, false)
+	pcRaw := newParseCache(16, engines.Mode{DisableResolve: true})
 	raw, err := pcRaw.parse(p, "function g(){ return 2; } print(g());")
 	if err != nil {
 		t.Fatal(err)

@@ -42,8 +42,9 @@ type Outcome struct {
 	Result  difftest.CaseResult
 	// Analysis is the case's static-semantics report (divergence-risk
 	// flags, feature fingerprint), shared from the parse cache. Nil when
-	// the case failed to parse or the scheduler runs with DisableAnalyze —
-	// the ablation's sink must see exactly the no-analyzer pipeline.
+	// the case failed to parse or the scheduler runs with
+	// Mode.DisableAnalyze — that sink must see exactly the no-analyzer
+	// pipeline.
 	Analysis *analyze.Report
 }
 
@@ -60,27 +61,8 @@ type Config struct {
 	// ages — entries touched within the last generation survive, so a long
 	// campaign never re-parses its entire live working set at once.
 	ParseCacheCap int
-	// DisableResolve keeps cached programs on the interpreter's dynamic
-	// map-scope path instead of running the resolve-once pass after each
-	// parse — the differential oracle and ablation knob for the
-	// slot-indexed evaluator.
-	DisableResolve bool
-	// DisableCompile keeps cached programs on the (resolved) tree-walking
-	// evaluator instead of the compile-once thunk path — the differential
-	// oracle and ablation knob for internal/js/compile. Implied by
-	// DisableResolve (the compiler consumes scope annotations).
-	DisableCompile bool
-	// DisableShapes keeps objects on dictionary-mode property maps and the
-	// compiled evaluator's inline caches empty — the differential oracle
-	// and ablation knob for the hidden-class object layout.
-	DisableShapes bool
-	// DisableAnalyze makes every execution recompute the early-error
-	// verdict from the AST instead of reading the report the parse
-	// pipeline cached on the program, and withholds Outcome.Analysis from
-	// the sink — the differential oracle and ablation knob for
-	// internal/js/analyze. Execution semantics are identical in both
-	// modes; the sink-side flag accounting is what differs.
-	DisableAnalyze bool
+	// Mode selects the evaluator implementations.
+	engines.Mode
 	// CaseDeadline, when positive, arms a wall-clock watchdog on every
 	// physical execution: the interpreter probes Clock at its fuel-charge
 	// site and aborts with a classified timeout once the deadline passes.
@@ -157,7 +139,7 @@ func New(cfg Config) *Scheduler {
 	if len(cfg.Testbeds) == 0 {
 		cfg.Testbeds = engines.LatestTestbeds()
 	}
-	s := &Scheduler{cfg: cfg, cache: newParseCache(cfg.ParseCacheCap, cfg.DisableResolve, cfg.DisableCompile)}
+	s := &Scheduler{cfg: cfg, cache: newParseCache(cfg.ParseCacheCap, cfg.Mode)}
 	classOf := map[string]int{}
 	for _, tb := range cfg.Testbeds {
 		p := tb.Prepare()
@@ -380,9 +362,7 @@ func (s *Scheduler) releaseSlot() {
 // (deterministic) faulted result instead of re-rolling it.
 func (s *Scheduler) runOne(class int, c Case) engines.ExecResult {
 	p := s.classRep[class]
-	opts := engines.RunOptions{Fuel: s.cfg.Fuel, Seed: s.cfg.Seed,
-		DisableCompile: s.cfg.DisableCompile, DisableShapes: s.cfg.DisableShapes,
-		DisableAnalyze: s.cfg.DisableAnalyze}
+	opts := engines.RunOptions{Fuel: s.cfg.Fuel, Seed: s.cfg.Seed, Mode: s.cfg.Mode}
 	if fault, sel := s.cfg.Faults.CaseFault(c.Index); fault != faultinject.FaultNone &&
 		class == int(sel%uint64(len(s.classes))) {
 		switch fault {
@@ -501,8 +481,7 @@ type parseCache struct {
 	young     map[parseKey]parsedResult
 	old       map[parseKey]parsedResult
 	genCap    int
-	noResolve bool
-	noCompile bool
+	mode      engines.Mode
 	hits      atomic.Int64
 	misses    atomic.Int64
 	evictions atomic.Int64
@@ -510,7 +489,7 @@ type parseCache struct {
 
 const defaultParseCacheCap = 4096
 
-func newParseCache(cap int, noResolve, noCompile bool) *parseCache {
+func newParseCache(cap int, mode engines.Mode) *parseCache {
 	if cap <= 0 {
 		cap = defaultParseCacheCap
 	}
@@ -519,11 +498,10 @@ func newParseCache(cap int, noResolve, noCompile bool) *parseCache {
 		genCap = 1
 	}
 	return &parseCache{
-		young:     make(map[parseKey]parsedResult),
-		old:       make(map[parseKey]parsedResult),
-		genCap:    genCap,
-		noResolve: noResolve,
-		noCompile: noCompile,
+		young:  make(map[parseKey]parsedResult),
+		old:    make(map[parseKey]parsedResult),
+		genCap: genCap,
+		mode:   mode,
 	}
 }
 
@@ -553,17 +531,9 @@ func (pc *parseCache) parse(p *engines.PreparedTestbed, src string) (*ast.Progra
 		return r.prog, r.err
 	}
 	pc.misses.Add(1)
-	switch {
-	case pc.noResolve:
-		r.prog, r.err = p.ParseUnresolved(src)
-	case pc.noCompile:
-		r.prog, r.err = p.ParseResolved(src)
-	default:
-		// The full pipeline: parse, resolve, thunk-compile. The cache
-		// entry stores the thunks next to the scope annotations under the
-		// same parser-option fingerprint key.
-		r.prog, r.err = p.Parse(src)
-	}
+	// The entry stores whatever the mode's passes attach (scope
+	// annotations, thunks, analysis) under the parser-option fingerprint.
+	r.prog, r.err = pc.mode.Parse(src, p.ParseOptions())
 	pc.mu.Lock()
 	pc.insertLocked(key, r)
 	pc.mu.Unlock()

@@ -52,25 +52,53 @@ type Forkable interface {
 type LMOptions struct {
 	// DisableFrozenLM keeps generation on the map-backed string sampler
 	// instead of the frozen token-ID model — the differential-oracle knob
-	// mirroring campaign.Config.DisableResolve.
+	// in the pattern of engines.Mode.
 	DisableFrozenLM bool
+}
+
+// registry names the six fuzzers of the paper's comparison, in Figure 8
+// order, next to their constructors, so a lookup builds only the fuzzer
+// it returns (several constructors train a language model).
+var registry = []struct {
+	name  string
+	build func() Fuzzer
+}{
+	{"COMFORT", func() Fuzzer { return NewComfort() }},
+	{"DIE", func() Fuzzer { return NewDIE() }},
+	{"Fuzzilli", func() Fuzzer { return NewFuzzilli() }},
+	{"Montage", func() Fuzzer { return NewMontage() }},
+	{"DeepSmith", func() Fuzzer { return NewDeepSmith() }},
+	{"CodeAlchemist", func() Fuzzer { return NewCodeAlchemist() }},
 }
 
 // All instantiates the six fuzzers of the paper's comparison.
 func All() []Fuzzer {
-	return []Fuzzer{
-		NewComfort(), NewDIE(), NewFuzzilli(), NewMontage(), NewDeepSmith(), NewCodeAlchemist(),
+	out := make([]Fuzzer, len(registry))
+	for i, r := range registry {
+		out[i] = r.build()
 	}
+	return out
 }
 
-// ByName resolves a fuzzer.
+// Known reports whether name (in any letter case) is a registered fuzzer,
+// without building it.
+func Known(name string) bool { return index(name) >= 0 }
+
+// ByName builds the fuzzer registered under name, in any letter case.
 func ByName(name string) (Fuzzer, bool) {
-	for _, f := range All() {
-		if strings.EqualFold(f.Name(), name) {
-			return f, true
-		}
+	if i := index(name); i >= 0 {
+		return registry[i].build(), true
 	}
 	return nil, false
+}
+
+func index(name string) int {
+	for i, r := range registry {
+		if strings.EqualFold(r.name, name) {
+			return i
+		}
+	}
+	return -1
 }
 
 // ---------- COMFORT ----------

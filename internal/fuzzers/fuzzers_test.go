@@ -2,10 +2,12 @@ package fuzzers
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
+	"unicode"
 	"unicode/utf8"
 
-	"comfort/internal/js/lint"
+	"comfort/internal/js/parser"
 )
 
 func TestAllFuzzersProduceCases(t *testing.T) {
@@ -20,7 +22,7 @@ func TestAllFuzzersProduceCases(t *testing.T) {
 						t.Fatal("empty test case")
 					}
 					total++
-					if lint.Valid(src) {
+					if _, err := parser.Parse(src); err == nil {
 						valid++
 					}
 				}
@@ -172,7 +174,7 @@ func TestBaselineValidityBands(t *testing.T) {
 		for i := 0; i < 300; i++ {
 			for _, src := range f.Next(rng) {
 				total++
-				if lint.Valid(src) {
+				if _, err := parser.Parse(src); err == nil {
 					valid++
 				}
 			}
@@ -309,12 +311,39 @@ func TestTextCorruptRuneSafe(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	for _, name := range []string{"COMFORT", "deepsmith", "Fuzzilli", "CodeAlchemist", "DIE", "montage"} {
-		if _, ok := ByName(name); !ok {
-			t.Errorf("ByName(%q) failed", name)
+	want := []string{"COMFORT", "DIE", "Fuzzilli", "Montage", "DeepSmith", "CodeAlchemist"}
+	all := All()
+	if len(all) != len(want) {
+		t.Fatalf("All() has %d fuzzers, want %d", len(all), len(want))
+	}
+	for i, f := range all {
+		if f.Name() != want[i] {
+			t.Errorf("All()[%d] = %s, want %s", i, f.Name(), want[i])
 		}
 	}
-	if _, ok := ByName("nope"); ok {
+	alternating := func(s string) string {
+		r := []rune(s)
+		for i := range r {
+			if i%2 == 0 {
+				r[i] = unicode.ToLower(r[i])
+			} else {
+				r[i] = unicode.ToUpper(r[i])
+			}
+		}
+		return string(r)
+	}
+	for _, name := range want {
+		for _, spelled := range []string{name, strings.ToLower(name), strings.ToUpper(name), alternating(name)} {
+			f, ok := ByName(spelled)
+			if !ok || f.Name() != name {
+				t.Errorf("ByName(%q) = %v, %v; want %s", spelled, f, ok, name)
+			}
+			if !Known(spelled) {
+				t.Errorf("Known(%q) = false", spelled)
+			}
+		}
+	}
+	if _, ok := ByName("nope"); ok || Known("nope") {
 		t.Error("unknown fuzzer resolved")
 	}
 }

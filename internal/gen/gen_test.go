@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"comfort/internal/corpus"
-	"comfort/internal/js/lint"
+	"comfort/internal/js/parser"
 	"comfort/internal/lm"
 )
 
@@ -19,8 +19,8 @@ func TestBatchKeepsSomeInvalid(t *testing.T) {
 	batch := p.Batch(300, rng)
 	valid, invalid := 0, 0
 	for _, prog := range batch {
-		if prog.Valid != lint.Valid(prog.Source) {
-			t.Error("Valid flag disagrees with the linter")
+		if _, err := parser.Parse(prog.Source); prog.Valid != (err == nil) {
+			t.Error("Valid flag disagrees with the parser")
 		}
 		if prog.Valid {
 			valid++

@@ -21,8 +21,8 @@
 // parse and attached to the Program (ast.Program.Analysis) before the
 // tree is shared across goroutines; analysis consumes nothing but the
 // AST itself, so the exec layer's parse-fingerprint cache key keeps it
-// sound. The analyzer also hosts the static quality warnings that
-// internal/js/lint exposes (lint.Check is a thin wrapper now).
+// sound. The analyzer also hosts the static quality warnings of the
+// paper's JSHint step.
 package analyze
 
 import (
@@ -56,8 +56,9 @@ type Report struct {
 	Flags Flags
 	// Features is the program's language-feature fingerprint.
 	Features Features
-	// Warnings are the static quality diagnostics (source order); see
-	// internal/js/lint.
+	// Warnings are the static quality diagnostics (source order): unused
+	// declarations, assignments in conditions, duplicate object keys and
+	// unreachable statements.
 	Warnings []string
 	// PrintSites holds the node IDs of print(...) call sites — the
 	// assertion-site inventory a conformance-test exporter consumes.

@@ -268,3 +268,22 @@ func TestWarningOrderDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestWarnings pins every static quality warning kind, not only "unused".
+func TestWarnings(t *testing.T) {
+	for _, tc := range []struct {
+		name, src, want string
+	}{
+		{"unused", `var unused = 1;`, "unused"},
+		{"duplicate key", `var o = {a: 1, a: 2}; print(o);`, "duplicate object key"},
+		{"unreachable", `function f() { return 1; print("never"); } f();`, "unreachable"},
+		{"assignment in condition", `var x; if (x = 5) { print(x); }`, "assignment in condition"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			joined := strings.Join(mustAnalyze(t, tc.src).Warnings, "\n")
+			if !strings.Contains(joined, tc.want) {
+				t.Errorf("missing %q warning in:\n%s", tc.want, joined)
+			}
+		})
+	}
+}

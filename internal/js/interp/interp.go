@@ -30,15 +30,11 @@ type Config struct {
 	// SloppyStrictAssign makes strict-mode assignment to undeclared
 	// identifiers create globals silently — a seeded Strict Mode defect.
 	SloppyStrictAssign bool
-	// DisableCompile keeps execution on the tree-walking evaluator even
-	// when the program carries thunk-compiled bodies — the differential
-	// oracle and ablation knob for internal/js/compile.
+	// DisableCompile and DisableShapes are the evaluator's half of
+	// engines.Mode (see there): calls ignore thunk-compiled bodies, and
+	// objects stay in dictionary layout with the inline caches empty.
 	DisableCompile bool
-	// DisableShapes keeps every object in classic dictionary (property map)
-	// layout and turns the compiled evaluator's inline caches off — the
-	// differential oracle and ablation knob for the hidden-class machinery,
-	// wired through engines/exec/campaign exactly like DisableCompile.
-	DisableShapes bool
+	DisableShapes  bool
 	// Watchdog, when non-nil, is the wall-clock deadline probe: it is
 	// polled cooperatively at the shared fuel-charge site every
 	// WatchdogStride consumed steps, and a true return aborts the run with
@@ -95,13 +91,9 @@ type Interp struct {
 	MutableFuncName bool
 	// SloppyStrictAssign mirrors Config.SloppyStrictAssign.
 	SloppyStrictAssign bool
-	// DisableCompile mirrors Config.DisableCompile: Call ignores compiled
-	// bodies so a thunk-annotated program tree-walks end to end.
+	// DisableCompile and DisableShapes mirror Config's.
 	DisableCompile bool
-	// DisableShapes mirrors Config.DisableShapes: NewObject allocates
-	// dictionary-mode objects and the IC entry points fall through to the
-	// generic property paths.
-	DisableShapes bool
+	DisableShapes  bool
 
 	// Out receives print() output.
 	Out strings.Builder

@@ -44,7 +44,7 @@ func (a Arch) String() string {
 // per-context candidate lists, zero allocations per token); the map-backed
 // model is retained as the differential oracle's second implementation and
 // drives generation when Config.DisableFrozenLM is set — the knob
-// mirroring the interpreter's DisableResolve.
+// in the pattern of the interpreter's engines.Mode oracles.
 type Generator struct {
 	arch   Arch
 	vocab  *bpe.Vocab

@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"comfort/internal/corpus"
-	"comfort/internal/js/lint"
+	"comfort/internal/js/parser"
 )
 
 func TestTokenizeRoundTrip(t *testing.T) {
@@ -44,7 +44,7 @@ func TestGeneratorProducesParseableCode(t *testing.T) {
 		if src == "" {
 			t.Fatal("empty generation")
 		}
-		if lint.Valid(src) {
+		if _, err := parser.Parse(src); err == nil {
 			valid++
 		}
 	}
@@ -64,10 +64,10 @@ func TestLongContextBeatsShortContext(t *testing.T) {
 	const n = 150
 	validGPT, validLSTM := 0, 0
 	for i := 0; i < n; i++ {
-		if lint.Valid(gpt.Generate(rngA)) {
+		if _, err := parser.Parse(gpt.Generate(rngA)); err == nil {
 			validGPT++
 		}
-		if lint.Valid(lstm.Generate(rngB)) {
+		if _, err := parser.Parse(lstm.Generate(rngB)); err == nil {
 			validLSTM++
 		}
 	}

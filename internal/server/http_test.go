@@ -424,3 +424,48 @@ func writeAtomicSetup(dir, name, content string) error {
 	}
 	return writeAtomic(filepath.Join(dir, name), []byte(content))
 }
+
+// TestSpecWireFormatGolden pins comfortd's spec.json format: a body with
+// every disable_* key passes the POST /jobs decoder (which rejects unknown
+// fields), sets the matching mode fields, and the store's spec.json holds
+// it byte-identically, so stores written by earlier builds keep loading.
+func TestSpecWireFormatGolden(t *testing.T) {
+	const body = `{
+ "fuzzer": "COMFORT",
+ "cases": 1,
+ "seed": 9,
+ "fuel": 5000,
+ "testbed_limit": 1,
+ "workers": 1,
+ "reduce_witnesses": true,
+ "disable_dedup": true,
+ "disable_resolve": true,
+ "disable_compile": true,
+ "disable_shapes": true,
+ "disable_analyze": true,
+ "checkpoint_every": 8
+}
+`
+	opt := testOptions(t)
+	_, ts := newTestServer(t, opt)
+	resp := postJSON(t, ts.URL+"/jobs", body)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("POST /jobs: code %d", resp.StatusCode)
+	}
+	var st Status
+	decodeBody(t, resp, &st)
+	data, err := os.ReadFile(filepath.Join(opt.Store.jobDir(st.ID), "spec.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data) != body {
+		t.Errorf("spec.json drifted:\n got %s\nwant %s", data, body)
+	}
+	var sp Spec
+	if err := readJSON(filepath.Join(opt.Store.jobDir(st.ID), "spec.json"), &sp); err != nil {
+		t.Fatal(err)
+	}
+	if !sp.DisableDedup || !sp.DisableResolve || !sp.DisableCompile || !sp.DisableShapes || !sp.DisableAnalyze {
+		t.Errorf("decoded spec lost a disable_* key: %+v", sp)
+	}
+}

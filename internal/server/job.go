@@ -47,12 +47,10 @@ type Spec struct {
 	Workers   int  `json:"workers,omitempty"`
 	GenShards int  `json:"gen_shards,omitempty"`
 	Reduce    bool `json:"reduce_witnesses,omitempty"`
-	// Oracle/ablation knobs, mirroring campaign.Config.
-	DisableDedup   bool `json:"disable_dedup,omitempty"`
-	DisableResolve bool `json:"disable_resolve,omitempty"`
-	DisableCompile bool `json:"disable_compile,omitempty"`
-	DisableShapes  bool `json:"disable_shapes,omitempty"`
-	DisableAnalyze bool `json:"disable_analyze,omitempty"`
+	// DisableDedup and Mode mirror campaign.Config; Mode's fields encode
+	// inline as the disable_* keys.
+	DisableDedup bool `json:"disable_dedup,omitempty"`
+	engines.Mode
 	// CheckpointEvery is the job's checkpoint cadence in cases; 0 means
 	// the campaign default (256).
 	CheckpointEvery int `json:"checkpoint_every,omitempty"`
@@ -65,7 +63,7 @@ type Spec struct {
 
 // Validate rejects malformed specs with an actionable message.
 func (sp *Spec) Validate() error {
-	if _, ok := fuzzers.ByName(sp.Fuzzer); !ok {
+	if !fuzzers.Known(sp.Fuzzer) {
 		return fmt.Errorf("unknown fuzzer %q", sp.Fuzzer)
 	}
 	if sp.Cases <= 0 {

@@ -851,10 +851,7 @@ func (s *Supervisor) runCampaign(ctx context.Context, j *Job) (res *campaign.Res
 		GenShards:       j.Spec.GenShards,
 		ReduceWitnesses: j.Spec.Reduce,
 		DisableDedup:    j.Spec.DisableDedup,
-		DisableResolve:  j.Spec.DisableResolve,
-		DisableCompile:  j.Spec.DisableCompile,
-		DisableShapes:   j.Spec.DisableShapes,
-		DisableAnalyze:  j.Spec.DisableAnalyze,
+		Mode:            j.Spec.Mode,
 		Context:         ctx,
 		Gate:            s.gate,
 		Clock:           s.opt.Clock,

@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"comfort/internal/js/lint"
+	"comfort/internal/js/parser"
 	"comfort/internal/spec"
 )
 
@@ -43,7 +43,7 @@ func TestMutateProducesBoundaryVariants(t *testing.T) {
 	}
 	sawUndefined, sawDeclRewrite := false, false
 	for _, v := range variants {
-		if !lint.Valid(v.Source) {
+		if _, err := parser.Parse(v.Source); err != nil {
 			t.Errorf("invalid variant:\n%s", v.Source)
 		}
 		if strings.Contains(v.Source, "substr(6, undefined)") ||
