@@ -600,7 +600,7 @@ func reduceFinding(ctx context.Context, f *Finding, cfg Config) string {
 	opts := engines.RunOptions{Fuel: cfg.Fuel, Seed: cfg.Seed, Mode: cfg.Mode}
 	buggy := engines.NewDefectRunner(f.Defect, f.strict)
 	ref := engines.NewDefectRunner(nil, f.strict)
-	return reduce.Parallel(f.TestCase, engines.DivergesRunners(buggy, ref, opts),
+	return reduce.Parallel(f.TestCase, engines.Diverges(buggy, ref, opts),
 		reduce.Options{Workers: cfg.Workers, Context: ctx})
 }
 

@@ -121,18 +121,12 @@ type Options struct {
 // shared by difftest, the exec scheduler and campaign defaulting.
 const DefaultFuel = 200000
 
-// RunCell executes one (case, testbed) cell: pre-parse interceptors, a
-// caller-supplied (possibly caching) parse, then interpretation. Both the
-// exec scheduler and Execute funnel through here so the cell semantics
-// cannot drift between paths.
+// RunCell is engines.RunCell. It stays because the benchmark harness
+// (perfbench) calls it.
 func RunCell(p *engines.PreparedTestbed, src string,
 	parse func(*engines.PreparedTestbed, string) (*ast.Program, error),
 	opts engines.RunOptions) engines.ExecResult {
-	if msg := p.PreParseError(src); msg != "" {
-		return engines.PreParseResult(msg)
-	}
-	prog, err := parse(p, src)
-	return p.ExecParsed(prog, err, opts)
+	return engines.RunCell(p, src, parse, opts)
 }
 
 // Run executes src on all testbeds and classifies the outcome per Figure 5.
@@ -142,7 +136,8 @@ func Run(src string, testbeds []engines.Testbed, opts Options) CaseResult {
 
 // Execute runs src on every testbed (via its memoised prepared form) and
 // returns the per-testbed entries in testbed order. The parse is shared
-// between testbeds whose resolved parser options coincide, and the whole
+// between testbeds whose resolved parser options coincide (one
+// engines.ParseShare per case), and the whole
 // execution is shared between testbeds in the same behaviour equivalence
 // class (see engines.PreparedTestbed.BehaviorKey).
 func Execute(src string, testbeds []engines.Testbed, opts Options) []ExecEntry {
@@ -150,26 +145,14 @@ func Execute(src string, testbeds []engines.Testbed, opts Options) []ExecEntry {
 		opts.Fuel = DefaultFuel
 	}
 	runOpts := engines.RunOptions{Fuel: opts.Fuel, Seed: opts.Seed}
-	type parsed struct {
-		prog *ast.Program
-		err  error
-	}
-	parseCache := map[uint64]parsed{}
-	parse := func(p *engines.PreparedTestbed, src string) (*ast.Program, error) {
-		pr, ok := parseCache[p.ParseFingerprint()]
-		if !ok {
-			pr.prog, pr.err = p.Parse(src)
-			parseCache[p.ParseFingerprint()] = pr
-		}
-		return pr.prog, pr.err
-	}
+	share := engines.NewParseShare(runOpts.Mode)
 	resultCache := map[string]engines.ExecResult{}
 	entries := make([]ExecEntry, 0, len(testbeds))
 	for _, tb := range testbeds {
 		p := tb.Prepare()
 		r, ok := resultCache[p.BehaviorKey()]
 		if !ok {
-			r = RunCell(p, src, parse, runOpts)
+			r = engines.RunCell(p, src, share.Parse, runOpts)
 			resultCache[p.BehaviorKey()] = r
 		}
 		entries = append(entries, ExecEntry{Testbed: tb, Result: r})

@@ -43,7 +43,7 @@ func TestHookPanicRecoveredMidRun(t *testing.T) {
 		},
 	}
 	src := `print("before"); var a = []; a.push(1); print("after");`
-	r := RunWithDefect(d, src, false, RunOptions{Fuel: 100000, Seed: 1})
+	r := NewDefectRunner(d, false).Run(src, RunOptions{Fuel: 100000, Seed: 1})
 	if r.Outcome != OutcomeCrash || !r.Panic {
 		t.Fatalf("hook panic not classified as crash: %+v", r)
 	}
@@ -56,7 +56,7 @@ func TestHookPanicRecoveredMidRun(t *testing.T) {
 	if r.FuelUsed == 0 {
 		t.Error("fuel reading lost on recovered panic")
 	}
-	again := RunWithDefect(d, src, false, RunOptions{Fuel: 100000, Seed: 1})
+	again := NewDefectRunner(d, false).Run(src, RunOptions{Fuel: 100000, Seed: 1})
 	if r.Key() != again.Key() || r.Output != again.Output || r.FuelUsed != again.FuelUsed {
 		t.Errorf("recovered mid-run panic not deterministic")
 	}

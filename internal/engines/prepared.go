@@ -12,12 +12,14 @@ import (
 	"comfort/internal/js/parser"
 )
 
-// PreparedTestbed is a testbed with everything that is constant across runs
-// resolved once: the active defect subset of the catalog, the combined hook
-// chain, the interpreter config deltas and the parser options. Preparing a
-// testbed turns Testbed.Run's per-execution catalog scan + hook sort into a
+// PreparedTestbed is the one prepared executor: a defect set in one mode
+// with everything that is constant across runs resolved once — the
+// combined hook chain, the interpreter config deltas and the parser
+// options. Testbed.Prepare builds it over a testbed's active defects,
+// turning Testbed.Run's per-execution catalog scan + hook sort into a
 // one-time cost, which matters when a campaign executes the same 102
-// testbeds tens of thousands of times.
+// testbeds tens of thousands of times; NewDefectRunner builds it over a
+// single defect for attribution and reduction.
 type PreparedTestbed struct {
 	Testbed Testbed
 
@@ -42,17 +44,21 @@ func (tb Testbed) Prepare() *PreparedTestbed {
 	if p, ok := preparedCache[key]; ok {
 		return p
 	}
-	p := prepare(tb)
+	p := prepare(tb.Strict, ActiveDefects(tb.Version))
+	p.Testbed = tb
 	preparedCache[key] = p
 	return p
 }
 
-func prepare(tb Testbed) *PreparedTestbed {
+// prepare resolves the executor for defects (catalog order) in the given
+// mode. Its Testbed is the zero version in that mode; Prepare overwrites
+// it with the testbed prepared.
+func prepare(strict bool, defects []*Defect) *PreparedTestbed {
 	p := &PreparedTestbed{
-		Testbed:  tb,
-		defects:  ActiveDefects(tb.Version),
-		baseCfg:  interp.Config{Strict: tb.Strict},
-		parseOps: parser.Options{Strict: tb.Strict},
+		Testbed:  Testbed{Strict: strict},
+		defects:  defects,
+		baseCfg:  interp.Config{Strict: strict},
+		parseOps: parser.Options{Strict: strict},
 	}
 	for _, d := range p.defects {
 		if d.Configure != nil {
@@ -65,9 +71,9 @@ func prepare(tb Testbed) *PreparedTestbed {
 			p.preParse = append(p.preParse, d)
 		}
 	}
-	p.baseCfg.Hook = combineHooks(p.defects, tb.Strict)
+	p.baseCfg.Hook = combineHooks(p.defects, strict)
 	var b strings.Builder
-	if tb.Strict {
+	if strict {
 		b.WriteString("strict")
 	} else {
 		b.WriteString("normal")
@@ -137,11 +143,65 @@ func PreParseResult(msg string) ExecResult {
 // Run executes src on the prepared testbed: pre-parse interceptors, a
 // parse finished for opts.Mode, then Exec.
 func (p *PreparedTestbed) Run(src string, opts RunOptions) ExecResult {
+	return RunCell(p, src, func(p *PreparedTestbed, src string) (*ast.Program, error) {
+		return opts.Mode.Parse(src, p.parseOps)
+	}, opts)
+}
+
+// RunCell executes one (source, executor) cell: the executor's pre-parse
+// interceptors, a caller-supplied parse (a cache, a ParseShare or a plain
+// Mode.Parse), then ExecParsed. Every execution path — Run, the exec
+// scheduler, difftest, Diverges and Attribute — funnels through here so
+// the cell semantics cannot drift between them.
+func RunCell(p *PreparedTestbed, src string,
+	parse func(*PreparedTestbed, string) (*ast.Program, error), opts RunOptions) ExecResult {
 	if msg := p.PreParseError(src); msg != "" {
 		return PreParseResult(msg)
 	}
-	prog, err := opts.Mode.Parse(src, p.parseOps)
+	prog, err := parse(p, src)
 	return p.ExecParsed(prog, err, opts)
+}
+
+// ParseShare holds one source's finished parses, one per parser-option
+// fingerprint, so the executors of a cell group whose options coincide
+// share one parse: a version and the reference in Diverges, the reference
+// and every candidate without parser interceptors in Attribute, and the
+// testbeds of a difftest.Execute case. A source meets few fingerprints
+// (ten across all testbeds today, at most four in one attribution), so
+// the entries live in a fixed array, which keeps a share off the heap; a
+// fingerprint beyond it is parsed per call instead of shared. Not safe
+// for concurrent use: make one per source and goroutine.
+type ParseShare struct {
+	mode    Mode
+	n       int
+	entries [16]sharedParse
+}
+
+type sharedParse struct {
+	fp   uint64
+	prog *ast.Program
+	err  error
+}
+
+// NewParseShare returns an empty share whose parses are finished for mode.
+func NewParseShare(mode Mode) *ParseShare { return &ParseShare{mode: mode} }
+
+// Parse returns src's parse under p's options, parsing it on the first
+// request per fingerprint. It has RunCell's parse signature; src must be
+// the same on every call.
+func (s *ParseShare) Parse(p *PreparedTestbed, src string) (*ast.Program, error) {
+	fp := p.ParseFingerprint()
+	for _, e := range s.entries[:s.n] {
+		if e.fp == fp {
+			return e.prog, e.err
+		}
+	}
+	prog, err := s.mode.Parse(src, p.parseOps)
+	if s.n < len(s.entries) {
+		s.entries[s.n] = sharedParse{fp, prog, err}
+		s.n++
+	}
+	return prog, err
 }
 
 // ExecParsed adapts an (already pre-parse-checked) parse result — typically
@@ -239,37 +299,6 @@ func classifyRunError(res *ExecResult, runErr error) {
 	}
 }
 
-// Diverges builds a reduction predicate over two prepared testbeds: it
-// reports whether src behaves differently on a and b under opts. When the
-// testbeds' parser options coincide (the common case — a version against
-// the reference) each candidate is parsed once and the AST shared between
-// both executions, so a reducer evaluating hundreds of candidates pays one
-// parse, not two, per candidate. The predicate is safe for concurrent
-// calls, as reduce.Parallel requires.
-func Diverges(a, b *PreparedTestbed, opts RunOptions) func(src string) bool {
-	if a.ParseFingerprint() != b.ParseFingerprint() {
-		return func(src string) bool {
-			return a.Run(src, opts).Key() != b.Run(src, opts).Key()
-		}
-	}
-	return func(src string) bool {
-		var prog *ast.Program
-		var perr error
-		parsed := false
-		runOne := func(p *PreparedTestbed) ExecResult {
-			if msg := p.PreParseError(src); msg != "" {
-				return PreParseResult(msg)
-			}
-			if !parsed {
-				prog, perr = opts.Mode.Parse(src, a.parseOps)
-				parsed = true
-			}
-			return p.ExecParsed(prog, perr, opts)
-		}
-		return runOne(a).Key() != runOne(b).Key()
-	}
-}
-
 // combineHooks merges the active defects' hooks; the first override wins.
 func combineHooks(defects []*Defect, strict bool) interp.Hook {
 	var hooks []*Defect
@@ -281,8 +310,11 @@ func combineHooks(defects []*Defect, strict bool) interp.Hook {
 			hooks = append(hooks, d)
 		}
 	}
-	if len(hooks) == 0 {
+	switch len(hooks) {
+	case 0:
 		return nil
+	case 1:
+		return hooks[0].Hook
 	}
 	sort.SliceStable(hooks, func(i, j int) bool { return hooks[i].ID < hooks[j].ID })
 	return func(ctx *interp.HookCtx) *interp.Override {

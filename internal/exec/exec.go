@@ -355,7 +355,7 @@ func (s *Scheduler) releaseSlot() {
 }
 
 // runOne executes one (case, behaviour class) cell through the shared
-// difftest cell semantics, with the campaign-wide parse cache supplying
+// engines.RunCell semantics, with the campaign-wide parse cache supplying
 // compiled programs; the parse hook accounts which evaluator the
 // execution runs on. Fault injection and the wall-clock watchdog are
 // armed here, per physical run, so shared-class fan-out replicates the
@@ -377,7 +377,7 @@ func (s *Scheduler) runOne(class int, c Case) engines.ExecResult {
 		deadline := s.cfg.CaseDeadline
 		opts.Watchdog = func() bool { return s.cfg.Clock().Sub(start) > deadline }
 	}
-	r := difftest.RunCell(p, c.Src, s.countingParse, opts)
+	r := engines.RunCell(p, c.Src, s.countingParse, opts)
 	if r.Panic {
 		s.panics.Add(1)
 	}

@@ -27,10 +27,10 @@
 // Interaction with the resolve-once interpreter: the reducer's shared tree
 // is parsed without scope resolution and is never executed — candidates
 // are rendered to source and handed to the predicate, which compiles
-// (parses and scope-resolves) each candidate afresh; the prepared
-// predicates (engines.Diverges, engines.DivergesRunners) share that one
-// compiled program between their two executions when parser options
-// coincide. The apply/undo transforms therefore never need to invalidate
+// (parses and scope-resolves) each candidate afresh; the predicate
+// (engines.Diverges over two prepared executors) shares that one compiled
+// program between its two executions through an engines.ParseShare when
+// their parser options coincide. The apply/undo transforms therefore never need to invalidate
 // or re-resolve annotations: any annotation a transform would stale out
 // lives on a tree the evaluator never sees.
 package reduce

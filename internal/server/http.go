@@ -9,9 +9,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
+	"time"
 )
+
+// maxSpecBytes caps a POST /jobs body; a spec is a few hundred bytes.
+const maxSpecBytes = 1 << 20
 
 // Handler builds the comfortd HTTP API over a supervisor:
 //
@@ -25,9 +30,24 @@ func Handler(s *Supervisor) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, r *http.Request) {
 		var sp Spec
-		dec := json.NewDecoder(r.Body)
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 		dec.DisallowUnknownFields()
-		if err := dec.Decode(&sp); err != nil {
+		err := dec.Decode(&sp)
+		if err == nil {
+			// The body is exactly one spec: anything but whitespace after
+			// it is rejected rather than silently ignored.
+			if _, err = dec.Token(); err == io.EOF {
+				err = nil
+			} else if err == nil {
+				err = errors.New("trailing data after the spec")
+			}
+		}
+		var tooBig *http.MaxBytesError
+		switch {
+		case errors.As(err, &tooBig):
+			writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("spec larger than %d bytes", maxSpecBytes))
+			return
+		case err != nil:
 			writeError(w, http.StatusBadRequest, fmt.Sprintf("malformed spec: %v", err))
 			return
 		}
@@ -36,7 +56,10 @@ func Handler(s *Supervisor) http.Handler {
 			var qf *QueueFullError
 			switch {
 			case errors.As(err, &qf):
-				w.Header().Set("Retry-After", strconv.Itoa(int(qf.RetryAfter.Seconds())))
+				// Whole seconds, rounded up: a sub-second backoff must not
+				// read as "retry now".
+				secs := max(1, int((qf.RetryAfter+time.Second-1)/time.Second))
+				w.Header().Set("Retry-After", strconv.Itoa(secs))
 				writeError(w, http.StatusServiceUnavailable, err.Error())
 			case errors.Is(err, ErrDraining):
 				writeError(w, http.StatusServiceUnavailable, err.Error())

@@ -64,6 +64,9 @@ func TestHandlerTable(t *testing.T) {
 		{"negative knob", `{"fuzzer":"COMFORT","cases":5,"workers":-1}`, http.StatusBadRequest},
 		{"bad fault spec", `{"fuzzer":"COMFORT","cases":5,"faults":"wat=1"}`, http.StatusBadRequest},
 		{"testbed limit too large", `{"fuzzer":"COMFORT","cases":5,"testbed_limit":100000}`, http.StatusBadRequest},
+		{"trailing object", `{"fuzzer":"COMFORT","cases":1}{"cases":99}`, http.StatusBadRequest},
+		{"trailing garbage", `{"fuzzer":"COMFORT","cases":1} garbage`, http.StatusBadRequest},
+		{"oversized body", `{"fuzzer":"COMFORT","cases":1}` + strings.Repeat(" ", 1<<20), http.StatusRequestEntityTooLarge},
 	}
 	var created Status
 	for _, tc := range submit {
@@ -178,6 +181,7 @@ func TestHandlerQueueFull(t *testing.T) {
 	opt := testOptions(t)
 	opt.MaxActive = 1
 	opt.QueueMax = 1
+	opt.BackoffBase = 500 * time.Millisecond
 	s, ts := newTestServer(t, opt)
 
 	long := `{"fuzzer":"COMFORT","cases":100000,"seed":2,"testbed_limit":2}`
@@ -205,8 +209,8 @@ func TestHandlerQueueFull(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("over-backlog submit: code %d, want 503", resp.StatusCode)
 	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("503 carries no Retry-After header")
+	if got := resp.Header.Get("Retry-After"); got != "1" {
+		t.Fatalf("503 Retry-After %q, want \"1\" (a 500ms backoff rounds up to one second)", got)
 	}
 }
 
@@ -301,9 +305,11 @@ func TestHandlerHealthz(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Wait for the running status on disk, which is what beta mirrors:
+	// alpha's in-memory status turns running before its write lands.
 	deadline := time.Now().Add(time.Minute)
 	for {
-		st, _ := a.JobStatus(created.ID)
+		st, _ := store.ReadStatus(created.ID)
 		if st.State == StateRunning {
 			break
 		}

@@ -405,7 +405,7 @@ func (s *Supervisor) scanStore() {
 	now := s.now()
 	for _, j := range s.snapshotJobs() {
 		j.mu.Lock()
-		mine := j.lease != nil
+		mine := j.lease != nil || j.inFlight > 0
 		terminal := terminalState(j.status.State)
 		cancelled := j.cancelled
 		j.mu.Unlock()

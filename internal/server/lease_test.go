@@ -378,3 +378,42 @@ func TestPriorityDispatchOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestScanSkipsAdmittedJob: between dispatch admitting a job and its run
+// claiming the lease, the job holds no lease; the maintenance scan must
+// still not enqueue it again, or a second runJob executes the same
+// campaign concurrently on this instance.
+func TestScanSkipsAdmittedJob(t *testing.T) {
+	store, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSupervisor(twoInstanceOptions(store, newFakeClock(), "alpha"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown()
+
+	sp := Spec{Fuzzer: "COMFORT", Cases: 4, Seed: 2, TestbedLimit: 2}
+	st := Status{ID: jobID(1), Seq: 1, State: StateQueued, CasesTotal: sp.Cases}
+	if err := store.CreateJob(st, sp); err != nil {
+		t.Fatal(err)
+	}
+	// The state dispatch leaves behind before runJob's claim.
+	j := &Job{ID: st.ID, Seq: st.Seq, Spec: sp, hub: newHub(), status: st, inFlight: 1}
+	s.mu.Lock()
+	s.jobs[j.ID] = j
+	s.order = append(s.order, j.ID)
+	s.active = s.opt.MaxActive // park dispatch so the queue stays observable
+	s.mu.Unlock()
+
+	s.scanStore()
+	s.mu.Lock()
+	requeued := s.queued[j.ID]
+	s.dequeueLocked(j.ID)
+	s.active = 0
+	s.mu.Unlock()
+	if requeued {
+		t.Fatal("scan re-enqueued a job already admitted to run")
+	}
+}

@@ -139,6 +139,11 @@ type Job struct {
 	// leaves this instance again until a successful re-claim).
 	lease  *Lease
 	fenced bool
+	// inFlight counts this instance's admitted runJob goroutines. A job
+	// has no lease between its admission and its claim, so the
+	// maintenance scan must not read it as unclaimed and enqueue it a
+	// second time (that second run would execute the campaign again).
+	inFlight int
 }
 
 // snapshot returns a copy of the job's status.
@@ -477,6 +482,9 @@ func (s *Supervisor) dispatch() {
 		if j == nil || terminalState(j.snapshot().State) {
 			continue
 		}
+		j.mu.Lock()
+		j.inFlight++
+		j.mu.Unlock()
 		s.active++
 		s.wg.Add(1)
 		go s.runJob(j)
@@ -724,6 +732,9 @@ func (s *Supervisor) kill() {
 func (s *Supervisor) runJob(j *Job) {
 	defer s.wg.Done()
 	defer func() {
+		j.mu.Lock()
+		j.inFlight--
+		j.mu.Unlock()
 		s.mu.Lock()
 		s.active--
 		s.mu.Unlock()

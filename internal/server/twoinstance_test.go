@@ -149,9 +149,12 @@ func TestTwoInstanceCrashRecoveryOracle(t *testing.T) {
 			}
 			return total
 		}
+		// complete writes the result before the done status, so a job
+		// has converged only once both are on disk.
 		converged := func() bool {
 			for _, id := range ids {
-				if store.ReadResult(id) == nil {
+				st, err := store.ReadStatus(id)
+				if err != nil || st.State != StateDone || store.ReadResult(id) == nil {
 					return false
 				}
 			}
@@ -302,7 +305,13 @@ func TestTwoInstanceCrashRecoveryOracle(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("taken-over accounting diverged:\n--- want\n%s\n--- got\n%s", want, got)
 		}
+		// complete writes the result first and releases the lease last;
+		// wait for that last step (bounded) before checking the lease.
 		lease, err := store.ReadLease(target)
+		for (lease == nil || !lease.Released) && time.Now().Before(deadline) {
+			time.Sleep(2 * time.Millisecond)
+			lease, err = store.ReadLease(target)
+		}
 		if err != nil || lease == nil {
 			t.Fatalf("lease after takeover: %v, %+v", err, lease)
 		}
