@@ -123,11 +123,11 @@ func main() {
 		// reads the cache counters and invokes this callback on sampled
 		// cases, so large campaigns stop paying per-case progress overhead.
 		base.Progress = func(p campaign.Progress) {
-			fmt.Fprintf(os.Stderr, "  %d/%d cases (program cache: %d hits, %d misses, %d evicted; execs: %d compiled, %d tree; IC: %d hit, %d miss, %d mega; analyze: %d cached, %d early-error skips, %d nondet-flagged, %d features; robustness: %d panics, %d wall-timeouts, %d checkpoints)\n",
+			fmt.Fprintf(os.Stderr, "  %d/%d cases (program cache: %d hits, %d misses, %d evicted; execs: %d compiled, %d tree; IC: %d hit, %d miss, %d mega; analyze: %d cached, %d early-error skips, %d nondet-flagged, %d features; robustness: %d panics, %d wall-timeouts, %d checkpoints, %d checkpoint failures)\n",
 				p.Done, p.Total, p.CacheHits, p.CacheMisses, p.CacheEvictions, p.Compiled, p.Fallback,
 				p.ICHits, p.ICMisses, p.ICMega,
 				p.Analyzed, p.EarlyErrorSkips, p.FlaggedNondet, p.FeaturesSeen,
-				p.Panics, p.WallTimeouts, p.Checkpoints)
+				p.Panics, p.WallTimeouts, p.Checkpoints, p.CheckpointFailures)
 		}
 	}
 

@@ -109,35 +109,22 @@ type Config struct {
 }
 
 // Progress is one campaign progress sample: case accounting position plus
-// the scheduler's compiled-program cache and evaluator-path counters.
+// the diagnostic counters so far, all cumulative across resumes.
 type Progress struct {
 	// Done counts classified cases; Total is the configured budget.
 	Done, Total int
-	// CacheHits/CacheMisses/CacheEvictions are the scheduler's
-	// compiled-program (parse-and-resolve-once) cache counters so far.
-	CacheHits, CacheMisses, CacheEvictions int64
-	// Compiled/Fallback count physical interpreter runs so far by
-	// evaluator path: thunk-compiled programs vs tree-walked ones. In the
-	// default configuration Fallback stays at zero; a non-zero value (or
-	// an ablation run) is visible at a glance in -progress output.
-	Compiled, Fallback int64
-	// ICHits/ICMisses/ICMega are the compiled evaluator's inline-cache
-	// counters so far (all zero under DisableShapes or DisableCompile).
-	ICHits, ICMisses, ICMega uint64
-	// Analyzed counts class executions that rode the analyze-once cached
-	// report; EarlyErrorSkips counts executions the static early-error
-	// gate short-circuited before any interpreter ran.
-	Analyzed, EarlyErrorSkips int64
+	// Counters are the scheduler's diagnostic counters (cache, evaluator
+	// path, inline caches, analyze gate, faults); see exec.Counters.
+	exec.Counters
 	// FlaggedNondet counts attributed findings diverted to the
 	// suppressed-nondeterministic set so far.
 	FlaggedNondet int64
 	// FeaturesSeen is the number of distinct language features the
 	// campaign's cases have exercised so far (of analyze.FeatureCount).
 	FeaturesSeen int
-	// Panics/WallTimeouts count physical executions that ended in a
-	// recovered evaluator panic or a wall-clock watchdog abort;
-	// Checkpoints counts checkpoint writes. All cumulative across resumes.
-	Panics, WallTimeouts, Checkpoints int64
+	// Checkpoints/CheckpointFailures count checkpoint writes and failed
+	// write attempts.
+	Checkpoints, CheckpointFailures int64
 }
 
 // Finding is one unique discovered bug, attributed to its seeded defect.
@@ -203,11 +190,8 @@ type Result struct {
 	// early-error gate (a subset of the invalid verdict count) — each one
 	// classified without a single interpreter run.
 	EarlyErrorCases int
-	// Analyzed/EarlyErrorSkips are the scheduler's analyze-gate counters
-	// (see Progress); FlaggedNondet counts the findings in
-	// SuppressedNondet.
-	Analyzed, EarlyErrorSkips int64
-	FlaggedNondet             int64
+	// FlaggedNondet counts the findings in SuppressedNondet.
+	FlaggedNondet int64
 	// FeatureCounts maps analyzer feature name → number of cases whose
 	// fingerprint carried it; FeaturesSeen is the distinct feature count
 	// (nil/0 under DisableAnalyze).
@@ -216,18 +200,10 @@ type Result struct {
 	// Reduction summarises witness reduction (nil unless
 	// Config.ReduceWitnesses was set and findings exist).
 	Reduction *ReductionStats
-	// CacheHits/CacheMisses/CacheEvictions are the final compiled-program
-	// cache counters of the campaign's scheduler.
-	CacheHits, CacheMisses, CacheEvictions int64
-	// Compiled/Fallback are the final evaluator-path execution counters
-	// (see Progress).
-	Compiled, Fallback int64
-	// ICHits/ICMisses/ICMega are the final inline-cache counters.
-	ICHits, ICMisses, ICMega uint64
-	// Panics counts physical executions that ended in a recovered
-	// evaluator panic (each surfaced as a classified crash result, never a
-	// dead process); WallTimeouts counts wall-clock watchdog aborts.
-	Panics, WallTimeouts int64
+	// Counters are the final scheduler diagnostic counters, cumulative
+	// across resumes. A recovered evaluator panic (Panics) surfaces as a
+	// classified crash result, never a dead process.
+	exec.Counters
 	// Checkpoints/CheckpointFailures count checkpoint writes and failed
 	// write attempts (a failed write never stops the campaign).
 	Checkpoints, CheckpointFailures int64
@@ -303,26 +279,26 @@ func run(cfg Config) (*Result, error) {
 	}
 	tree := dedup.New(dedup.KnownAPIsFromSpec(spec.Default().Names()))
 
-	// Resume: load the killed run's accounted state and position the
-	// generator at the first unaccounted case. base carries the killed
-	// run's diagnostic counters so totals stay cumulative.
-	var base State
+	// Resume: load the killed run's accounted state and counters, and
+	// position the generator at the first unaccounted case.
 	var start genStart
 	var featsSeen analyze.Features
-	if cfg.resume != nil {
-		base = *cfg.resume
-		bits, err := restoreInto(cfg.resume, res, tree)
+	if st := cfg.resume; st != nil {
+		bits, err := restoreInto(st, res, tree)
 		if err != nil {
 			return nil, err
 		}
 		featsSeen = analyze.Features(bits)
-		start = genStart{batch: base.NextBatch, off: base.NextOff, index: base.CasesDone}
-		if base.Done || base.CasesDone >= cfg.Cases {
-			// Nothing left to run: reconstruct the final result.
-			finishResult(res, &base, nil, featsSeen)
+		start = genStart{batch: st.NextBatch, off: st.NextOff, index: st.CasesDone}
+		if st.Done || st.CasesDone >= cfg.Cases {
+			// Nothing left to run: the restored result is final.
 			return res, nil
 		}
 	}
+	// base is the killed run's scheduler counters (zero for a fresh run);
+	// every reading adds this run's scheduler to it, so totals stay
+	// cumulative across resumes.
+	base := res.Counters
 
 	// Stage 1: the fuzzer. The stream depends only on the seed — Forkable
 	// fuzzers generate as GenShards concurrent shards whose batches are
@@ -361,7 +337,7 @@ func run(cfg Config) (*Result, error) {
 	ckpt := cfg.Checkpoint != "" || cfg.WriteCheckpoint != nil
 	nextBatch, nextOff := start.batch, start.off
 	sinceCkpt := 0
-	var ckptWrites, ckptFails int64 // this process's writes
+	written := 0 // this process's successful writes, for kill points
 	var lastCkptAt time.Time
 	if cfg.Clock != nil {
 		lastCkptAt = cfg.Clock()
@@ -380,6 +356,11 @@ func run(cfg Config) (*Result, error) {
 			Dedup:                tree.Snapshot(),
 			Found:                saveFindings(res.Found),
 			Suppressed:           saveFindings(res.SuppressedNondet),
+			SavedCounters:        SavedCounters(base.Add(sched.Counters())),
+			// The snapshot counts the write that persists it. That is
+			// exact: a failed write leaves no state on disk to resume.
+			Checkpoints:        res.Checkpoints + 1,
+			CheckpointFailures: res.CheckpointFailures,
 		}
 		for v, n := range res.Verdicts { //detlint:order — string-keyed map output (JSON-sorted)
 			st.Verdicts[v.String()] = n
@@ -390,25 +371,6 @@ func run(cfg Config) (*Result, error) {
 				st.FeatureCounts[name] = n
 			}
 		}
-		st.CacheHits, st.CacheMisses, st.CacheEvictions = sched.CacheStats()
-		st.Compiled, st.Fallback = sched.ExecCounts()
-		st.ICHits, st.ICMisses, st.ICMega = sched.ICStats()
-		st.Analyzed, st.EarlyErrSkips = sched.AnalyzeStats()
-		pn, wt := sched.FaultStats()
-		st.CacheHits += base.CacheHits
-		st.CacheMisses += base.CacheMisses
-		st.CacheEvictions += base.CacheEvictions
-		st.Compiled += base.Compiled
-		st.Fallback += base.Fallback
-		st.ICHits += base.ICHits
-		st.ICMisses += base.ICMisses
-		st.ICMega += base.ICMega
-		st.Analyzed += base.Analyzed
-		st.EarlyErrSkips += base.EarlyErrSkips
-		st.Panics = base.Panics + pn
-		st.WallTimeouts = base.WallTimeouts + wt
-		st.Checkpoints = base.Checkpoints + ckptWrites
-		st.CkptFailures = base.CkptFailures + ckptFails
 		return st
 	}
 	writeCkpt := func(done bool) {
@@ -420,9 +382,10 @@ func run(cfg Config) (*Result, error) {
 			err = WriteState(cfg.Checkpoint, st)
 		}
 		if err != nil {
-			ckptFails++
+			res.CheckpointFailures++
 		} else {
-			ckptWrites++
+			res.Checkpoints++
+			written++
 		}
 		sinceCkpt = 0
 		if cfg.Clock != nil {
@@ -453,22 +416,12 @@ func run(cfg Config) (*Result, error) {
 			accountCase(cfg, res, tree, oc.Src, cr, oc.Analysis)
 		}
 		if cfg.Progress != nil && (res.CasesRun%progressEvery == 0 || res.CasesRun == cfg.Cases) {
-			h, m, e := sched.CacheStats()
-			cc, fb := sched.ExecCounts()
-			ih, im, ig := sched.ICStats()
-			an, es := sched.AnalyzeStats()
-			pn, wt := sched.FaultStats()
 			cfg.Progress(Progress{
 				Done: res.CasesRun, Total: cfg.Cases,
-				CacheHits: base.CacheHits + h, CacheMisses: base.CacheMisses + m,
-				CacheEvictions: base.CacheEvictions + e,
-				Compiled:       base.Compiled + cc, Fallback: base.Fallback + fb,
-				ICHits: base.ICHits + ih, ICMisses: base.ICMisses + im, ICMega: base.ICMega + ig,
-				Analyzed: base.Analyzed + an, EarlyErrorSkips: base.EarlyErrSkips + es,
+				Counters:      base.Add(sched.Counters()),
 				FlaggedNondet: res.FlaggedNondet,
 				FeaturesSeen:  featsSeen.Count(),
-				Panics:        base.Panics + pn, WallTimeouts: base.WallTimeouts + wt,
-				Checkpoints: base.Checkpoints + ckptWrites,
+				Checkpoints:   res.Checkpoints, CheckpointFailures: res.CheckpointFailures,
 			})
 		}
 		if ckpt && res.CasesRun < cfg.Cases {
@@ -480,7 +433,7 @@ func run(cfg Config) (*Result, error) {
 			}
 			if due {
 				writeCkpt(false)
-				if cfg.Faults.KillAtCheckpoint(int(ckptWrites)) {
+				if cfg.Faults.KillAtCheckpoint(written) {
 					// Simulate the process dying right after the write: no
 					// final flush, no reduction, pipeline torn down. The CLI
 					// installs a real os.Exit in Faults.Kill for soak runs.
@@ -498,12 +451,8 @@ func run(cfg Config) (*Result, error) {
 		for range outcomes { // drain so the scheduler's goroutines exit
 		}
 	}
-	pn, wt := sched.FaultStats()
-	finishResult(res, &base, sched, featsSeen)
-	res.Panics = base.Panics + pn
-	res.WallTimeouts = base.WallTimeouts + wt
-	res.Checkpoints = base.Checkpoints + ckptWrites
-	res.CheckpointFailures = base.CkptFailures + ckptFails
+	res.Counters = base.Add(sched.Counters())
+	res.FeaturesSeen = featsSeen.Count()
 	if killed {
 		return res, nil
 	}
@@ -519,41 +468,8 @@ func run(cfg Config) (*Result, error) {
 	// reduction so a complete checkpoint carries the reduced witnesses.
 	if ckpt {
 		writeCkpt(res.CasesRun == cfg.Cases)
-		res.Checkpoints = base.Checkpoints + ckptWrites
-		res.CheckpointFailures = base.CkptFailures + ckptFails
 	}
 	return res, nil
-}
-
-// finishResult folds the scheduler's diagnostic counters (plus the resume
-// baselines) into the result. sched is nil when a Done checkpoint
-// reconstructs a result without running a pipeline.
-func finishResult(res *Result, base *State, sched *exec.Scheduler, featsSeen analyze.Features) {
-	var h, m, e, cc, fb, an, es int64
-	var ih, im, ig uint64
-	if sched != nil {
-		h, m, e = sched.CacheStats()
-		cc, fb = sched.ExecCounts()
-		ih, im, ig = sched.ICStats()
-		an, es = sched.AnalyzeStats()
-	}
-	res.CacheHits = base.CacheHits + h
-	res.CacheMisses = base.CacheMisses + m
-	res.CacheEvictions = base.CacheEvictions + e
-	res.Compiled = base.Compiled + cc
-	res.Fallback = base.Fallback + fb
-	res.ICHits = base.ICHits + ih
-	res.ICMisses = base.ICMisses + im
-	res.ICMega = base.ICMega + ig
-	res.Analyzed = base.Analyzed + an
-	res.EarlyErrorSkips = base.EarlyErrSkips + es
-	res.FeaturesSeen = featsSeen.Count()
-	if sched == nil {
-		res.Panics = base.Panics
-		res.WallTimeouts = base.WallTimeouts
-		res.Checkpoints = base.Checkpoints
-		res.CheckpointFailures = base.CkptFailures
-	}
 }
 
 // reduceFindings shrinks every finding's witness with the parallel ddmin

@@ -1,7 +1,9 @@
 package campaign
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -535,4 +537,251 @@ func TestFingerprintGolden(t *testing.T) {
 	if got := fingerprint(cfg); got != want {
 		t.Errorf("fingerprint drifted:\n got %s\nwant %s", got, want)
 	}
+}
+
+// TestResumeCountersMatchUninterrupted: diagnostic counters are
+// cumulative across resumes. A campaign killed right after its first
+// checkpoint and resumed reports exactly as many checkpoint writes as an
+// uninterrupted run, because each checkpoint counts the write that
+// produced it. (Scheduler counters are cumulative too, but not equal:
+// cases in flight at the kill ran before it and run again after it.)
+func TestResumeCountersMatchUninterrupted(t *testing.T) {
+	const cases, every = 200, 64
+	mkCfg := func(path string) Config {
+		return Config{
+			Fuzzer: fuzzers.NewComfort(), Testbeds: figure8Testbeds()[:6],
+			Cases: cases, Seed: 2, Workers: 2,
+			Checkpoint: path, CheckpointEvery: every,
+		}
+	}
+	dir := t.TempDir()
+	want := Run(mkCfg(filepath.Join(dir, "whole.json")))
+	if want.Checkpoints != 4 {
+		t.Fatalf("uninterrupted run wrote %d checkpoints, want 4 (at 64, 128, 192 and the final flush)", want.Checkpoints)
+	}
+
+	path := filepath.Join(dir, "killed.json")
+	killCfg := mkCfg(path)
+	killCfg.Faults = faultinject.New(faultinject.Config{KillAtCheckpoints: []int{1}})
+	Run(killCfg)
+	st, err := LoadState(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Resume(mkCfg(path), st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameAccounting(t, "kill@1+resume", want, got)
+	if got.Checkpoints != want.Checkpoints || got.CheckpointFailures != want.CheckpointFailures {
+		t.Errorf("resumed run counts %d checkpoints (%d failed), uninterrupted %d (%d failed)",
+			got.Checkpoints, got.CheckpointFailures, want.Checkpoints, want.CheckpointFailures)
+	}
+	final, err := LoadState(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.Checkpoints != got.Checkpoints {
+		t.Errorf("final checkpoint records %d writes, result says %d", final.Checkpoints, got.Checkpoints)
+	}
+	if got.Compiled < want.Compiled || got.Analyzed < want.Analyzed {
+		t.Errorf("resumed scheduler counters not cumulative: %d compiled, %d analyzed; uninterrupted %d, %d",
+			got.Compiled, got.Analyzed, want.Compiled, want.Analyzed)
+	}
+}
+
+// TestResumeRejectsImpossiblePositions: a checkpoint whose generator
+// position no run of the campaign could have written is refused with an
+// error naming the bad field, instead of silently re-running or skipping
+// cases while the accounting claims otherwise. Valid positions of both a
+// batch (Forkable) and a serial fuzzer still resume to the full budget.
+func TestResumeRejectsImpossiblePositions(t *testing.T) {
+	const cases, every = 40, 16
+	mkCfg := func(f fuzzers.Fuzzer) Config {
+		return Config{
+			Fuzzer: f, Testbeds: figure8Testbeds()[:6],
+			Cases: cases, Seed: 2, Workers: 2,
+		}
+	}
+	killedState := func(f fuzzers.Fuzzer) State {
+		path := filepath.Join(t.TempDir(), "ckpt.json")
+		cfg := mkCfg(f)
+		cfg.Checkpoint, cfg.CheckpointEvery = path, every
+		cfg.Faults = faultinject.New(faultinject.Config{KillAtCheckpoints: []int{1}})
+		Run(cfg)
+		st, err := LoadState(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return *st
+	}
+	batchSt := killedState(fuzzers.NewComfort())
+	serialSt := killedState(fuzzers.NewDIE())
+	if batchSt.NextBatch < 0 || serialSt.NextBatch != -1 || batchSt.CasesDone != every || serialSt.CasesDone != every {
+		t.Fatalf("unexpected kill positions: batch (%d,%d), serial (%d,%d)",
+			batchSt.NextBatch, batchSt.CasesDone, serialSt.NextBatch, serialSt.CasesDone)
+	}
+	for _, tc := range []struct {
+		name    string
+		serial  bool
+		edit    func(*State)
+		wantErr string // "" means the resume must complete the budget
+	}{
+		{"batch position as written", false, func(*State) {}, ""},
+		{"serial position as written", true, func(*State) {}, ""},
+		{"negative cases done", false, func(st *State) { st.CasesDone = -50 }, "cases accounted"},
+		{"negative batch offset", false, func(st *State) { st.NextOff = -1 }, "offset"},
+		{"batch below serial marker", false, func(st *State) { st.NextBatch = -2 }, "batch -2"},
+		{"serial position on a batch fuzzer", false, func(st *State) { st.NextBatch = -1 }, "serial position"},
+		{"serial position at zero on a batch fuzzer", false, func(st *State) { st.NextBatch, st.NextOff, st.CasesDone = -1, 0, 0 }, "serial position"},
+		{"negative cases done on a serial fuzzer", true, func(st *State) { st.CasesDone = -1 }, "cases accounted"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st, f := batchSt, fuzzers.Fuzzer(fuzzers.NewComfort())
+			if tc.serial {
+				st, f = serialSt, fuzzers.NewDIE()
+			}
+			tc.edit(&st)
+			res, err := Resume(mkCfg(f), &st)
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Fatalf("valid position rejected: %v", err)
+				}
+				if res.CasesRun != cases {
+					t.Fatalf("resume accounted %d cases, want %d", res.CasesRun, cases)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatalf("impossible position resumed (accounted %d of %d cases)", res.CasesRun, cases)
+			}
+			if !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("error %q does not name the bad field (want %q)", err, tc.wantErr)
+			}
+		})
+	}
+}
+
+// TestStateWireFormatGolden pins the checkpoint JSON: a state with every
+// key set round-trips through WriteState byte-identically (so no key is
+// renamed, dropped or reordered and checkpoints written by earlier builds
+// keep loading), and a real campaign's checkpoint carries exactly these
+// top-level keys in this order.
+func TestStateWireFormatGolden(t *testing.T) {
+	const golden = `{
+ "format": 1,
+ "fingerprint": "comfort-campaign/v1 fuzzer=COMFORT seed=2",
+ "cases_done": 64,
+ "next_batch": 3,
+ "next_off": 5,
+ "done": false,
+ "executed": 384,
+ "verdicts": {
+  "consistent": 60,
+  "crash": 4
+ },
+ "duplicates_filtered": 7,
+ "unattributed_findings": 2,
+ "early_error_cases": 9,
+ "flagged_nondet": 1,
+ "feature_counts": {
+  "closure": 12
+ },
+ "feature_bits": 4096,
+ "dedup": {
+  "root": {
+   "V8": {
+    "Array.prototype.map": {
+     "crash|TypeError|": true
+    }
+   }
+  },
+  "leaves": 1,
+  "hits": 3
+ },
+ "found": [
+  {
+   "defect_id": "v8-001",
+   "test_case": "print(1);",
+   "reduced": "1;",
+   "verdict": "crash",
+   "engine": "V8",
+   "features": [
+    "closure"
+   ],
+   "flags": [
+    "random"
+   ],
+   "strict": true
+  }
+ ],
+ "suppressed": [],
+ "cache_hits": 101,
+ "cache_misses": 102,
+ "cache_evictions": 103,
+ "compiled": 104,
+ "fallback": 105,
+ "ic_hits": 106,
+ "ic_misses": 107,
+ "ic_mega": 108,
+ "analyzed": 109,
+ "early_error_skips": 110,
+ "panics": 111,
+ "wall_timeouts": 112,
+ "checkpoints": 113,
+ "checkpoint_failures": 114
+}
+`
+	var st State
+	if err := json.Unmarshal([]byte(golden), &st); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "golden.json")
+	if err := WriteState(path, &st); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data) != golden {
+		t.Errorf("checkpoint encoding drifted:\n got %s\nwant %s", data, golden)
+	}
+
+	// A campaign's own checkpoint has the same key list, in order.
+	ckpt := filepath.Join(t.TempDir(), "ckpt.json")
+	Run(Config{
+		Fuzzer: fuzzers.NewComfort(), Testbeds: figure8Testbeds()[:6],
+		Cases: 20, Seed: 2, Workers: 2, Checkpoint: ckpt,
+	})
+	written, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, got := topLevelKeys(t, []byte(golden)), topLevelKeys(t, written)
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Errorf("campaign checkpoint keys drifted:\n got %v\nwant %v", got, want)
+	}
+}
+
+// topLevelKeys lists a JSON object's top-level keys in document order.
+func topLevelKeys(t *testing.T, data []byte) []string {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(data))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		t.Fatalf("not a JSON object: %v %v", tok, err)
+	}
+	var keys []string
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, tok.(string))
+		var skip json.RawMessage
+		if err := dec.Decode(&skip); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return keys
 }

@@ -63,6 +63,8 @@ type genStart struct {
 // batch), or ctx is cancelled. Because batch j is a pure function of
 // (seed, j) on the forkable path, resuming at (batch, off) re-generates
 // the exact suffix of the fresh run's stream, for every shard count.
+// shards must be at least 1; one shard is the same shard/merge loop with
+// a single producer.
 func generateCases(ctx context.Context, cfg Config, shards int, start genStart, out chan<- exec.Case) {
 	defer close(out)
 	forkable, ok := cfg.Fuzzer.(fuzzers.Forkable)
@@ -70,22 +72,6 @@ func generateCases(ctx context.Context, cfg Config, shards int, start genStart, 
 		generateSerial(ctx, cfg, start, out)
 		return
 	}
-	if start.batch < 0 {
-		// Fingerprints pin the fuzzer, so a serial-format position never
-		// reaches the forkable path; tolerate it as a fresh start anyway.
-		start = genStart{}
-	}
-	if shards <= 1 {
-		// One shard: the same per-batch-derived RNG scheme, run inline.
-		emit := newEmitter(ctx, cfg, start.index, 0, out)
-		for j := start.batch; ; j++ {
-			batch := cfg.Fuzzer.Next(rand.New(rand.NewSource(batchSeed(cfg.Seed, j))))
-			if len(batch) == 0 || !emit(j, batch, startSkip(start, j)) {
-				return
-			}
-		}
-	}
-
 	// Shard ctx: cancelled when the merge loop returns, so producer
 	// goroutines blocked on a full lookahead channel always drain.
 	shardCtx, stop := context.WithCancel(ctx)

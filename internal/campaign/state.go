@@ -22,6 +22,9 @@ import (
 	"comfort/internal/dedup"
 	"comfort/internal/difftest"
 	"comfort/internal/engines"
+	"comfort/internal/exec"
+	"comfort/internal/fuzzers"
+	"comfort/internal/js/analyze"
 )
 
 // StateFormatVersion is bumped whenever the checkpoint encoding changes
@@ -69,26 +72,36 @@ type State struct {
 	Found                []SavedFinding  `json:"found"`
 	Suppressed           []SavedFinding  `json:"suppressed"`
 
-	// Diagnostic baselines: scheduler counters at checkpoint time, added to
-	// the resumed scheduler's own counts so totals stay cumulative across
-	// the whole campaign. These describe physical work done, which resume
+	// Diagnostic baselines: counters at checkpoint time, added to the
+	// resumed run's own counts so totals stay cumulative across the whole
+	// campaign. These describe physical work done, which resume
 	// legitimately changes (a resumed run re-parses its working set, say),
 	// so they are cumulative-but-not-byte-identical — deliberately outside
-	// the determinism contract.
-	CacheHits      int64  `json:"cache_hits"`
-	CacheMisses    int64  `json:"cache_misses"`
-	CacheEvictions int64  `json:"cache_evictions"`
-	Compiled       int64  `json:"compiled"`
-	Fallback       int64  `json:"fallback"`
-	ICHits         uint64 `json:"ic_hits"`
-	ICMisses       uint64 `json:"ic_misses"`
-	ICMega         uint64 `json:"ic_mega"`
-	Analyzed       int64  `json:"analyzed"`
-	EarlyErrSkips  int64  `json:"early_error_skips"`
-	Panics         int64  `json:"panics"`
-	WallTimeouts   int64  `json:"wall_timeouts"`
-	Checkpoints    int64  `json:"checkpoints"`
-	CkptFailures   int64  `json:"checkpoint_failures"`
+	// the determinism contract. Checkpoints includes the write that
+	// produced this state.
+	SavedCounters
+	Checkpoints        int64 `json:"checkpoints"`
+	CheckpointFailures int64 `json:"checkpoint_failures"`
+}
+
+// SavedCounters is exec.Counters with the checkpoint's JSON keys: the
+// same fields in the same order, so the two convert into each other with
+// a plain conversion (struct tags do not take part in conversions). A
+// field added to one and not the other breaks those conversions at
+// compile time.
+type SavedCounters struct {
+	CacheHits       int64  `json:"cache_hits"`
+	CacheMisses     int64  `json:"cache_misses"`
+	CacheEvictions  int64  `json:"cache_evictions"`
+	Compiled        int64  `json:"compiled"`
+	Fallback        int64  `json:"fallback"`
+	ICHits          uint64 `json:"ic_hits"`
+	ICMisses        uint64 `json:"ic_misses"`
+	ICMega          uint64 `json:"ic_mega"`
+	Analyzed        int64  `json:"analyzed"`
+	EarlyErrorSkips int64  `json:"early_error_skips"`
+	Panics          int64  `json:"panics"`
+	WallTimeouts    int64  `json:"wall_timeouts"`
 }
 
 // fingerprint canonically renders every config parameter that shapes the
@@ -265,15 +278,36 @@ func Resume(cfg Config, st *State) (*Result, error) {
 		return nil, fmt.Errorf("checkpoint belongs to a different campaign; diverging fields:\n  %s",
 			strings.Join(diffs, "\n  "))
 	}
-	if st.CasesDone > cfg.Cases {
-		return nil, fmt.Errorf("checkpoint has %d cases accounted, config budget is %d", st.CasesDone, cfg.Cases)
+	if err := checkPosition(cfg, st); err != nil {
+		return nil, err
 	}
 	cfg.resume = st
 	return run(cfg)
 }
 
-// restoreInto loads a checkpoint's accounted state into a fresh Result
-// and dedup tree. It returns the feature-bit accumulator.
+// checkPosition rejects a checkpoint whose generator position no run of
+// this campaign could have written: resuming from it would re-run or skip
+// cases while the accounting claims otherwise.
+func checkPosition(cfg Config, st *State) error {
+	_, forkable := cfg.Fuzzer.(fuzzers.Forkable)
+	switch {
+	case st.CasesDone < 0:
+		return fmt.Errorf("checkpoint has %d cases accounted; a position cannot be negative", st.CasesDone)
+	case st.CasesDone > cfg.Cases:
+		return fmt.Errorf("checkpoint has %d cases accounted, config budget is %d", st.CasesDone, cfg.Cases)
+	case st.NextOff < 0:
+		return fmt.Errorf("checkpoint has batch offset %d; a position cannot be negative", st.NextOff)
+	case st.NextBatch < -1:
+		return fmt.Errorf("checkpoint has batch %d; want a batch index >= 0, or -1 for a serial fuzzer", st.NextBatch)
+	case st.NextBatch == -1 && forkable:
+		return fmt.Errorf("checkpoint has a serial position (batch -1) but fuzzer %s generates in batches; the checkpoint was not written for this campaign", cfg.Fuzzer.Name())
+	}
+	return nil
+}
+
+// restoreInto loads a checkpoint's accounted state and diagnostic
+// counters into a fresh Result and dedup tree. It returns the feature-bit
+// accumulator.
 func restoreInto(st *State, res *Result, tree *dedup.Tree) (uint64, error) {
 	found, err := restoreFindings(st.Found)
 	if err != nil {
@@ -298,6 +332,9 @@ func restoreInto(st *State, res *Result, tree *dedup.Tree) (uint64, error) {
 	res.UnattributedFindings = st.UnattributedFindings
 	res.EarlyErrorCases = st.EarlyErrorCases
 	res.FlaggedNondet = st.FlaggedNondet
+	res.FeaturesSeen = analyze.Features(st.FeatureBits).Count()
+	res.Counters = exec.Counters(st.SavedCounters)
+	res.Checkpoints, res.CheckpointFailures = st.Checkpoints, st.CheckpointFailures
 	if res.FeatureCounts != nil {
 		for name, n := range st.FeatureCounts { //detlint:order — accumulating counters
 			res.FeatureCounts[name] = n

@@ -25,7 +25,7 @@ func TestParseCacheGenerationalEviction(t *testing.T) {
 	if len(pc.young)+len(pc.old) > 8 {
 		t.Errorf("cache holds %d+%d entries, cap 8", len(pc.young), len(pc.old))
 	}
-	_, _, evictions := pc.stats()
+	evictions := pc.evictions.Load()
 	if evictions == 0 {
 		t.Error("no evictions recorded after exceeding the cap")
 	}
@@ -68,7 +68,7 @@ func TestParseCacheGenerationalEviction(t *testing.T) {
 }
 
 func missCount(pc *parseCache) int64 {
-	_, m, _ := pc.stats()
+	m := pc.misses.Load()
 	return m
 }
 

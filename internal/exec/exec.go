@@ -101,29 +101,12 @@ type Scheduler struct {
 	classes  [][]int
 	classRep []*engines.PreparedTestbed
 	cache    *parseCache
-	// compiled/fallback count physical interpreter runs by evaluator:
-	// thunk-compiled programs vs tree-walked ones (parse errors count in
-	// neither). Surfaced through campaign.Progress so a campaign's oracle
-	// coverage — how much of it actually exercised the compiled path — is
-	// observable.
-	compiled atomic.Int64
-	fallback atomic.Int64
-	// icHit/icMiss/icMega accumulate the per-execution inline-cache
-	// counters the runs report, for campaign.Progress.
-	icHit  atomic.Uint64
-	icMiss atomic.Uint64
-	icMega atomic.Uint64
-	// analyzed counts class executions that consulted the analyze-once
-	// report cached on the program; earlySkips counts executions the
-	// early-error gate short-circuited before any interpreter ran.
-	analyzed   atomic.Int64
-	earlySkips atomic.Int64
-	// panics/wallTimeouts count physical executions that ended in a
-	// recovered evaluator panic or a wall-clock watchdog abort — the
-	// robustness layer's visible pulse, surfaced through
-	// campaign.Progress.
-	panics       atomic.Int64
-	wallTimeouts atomic.Int64
+	// The live counters behind Counters (the parse cache keeps its own
+	// three); see Counters for what each one counts.
+	compiled, fallback    atomic.Int64
+	icHit, icMiss, icMega atomic.Uint64
+	analyzed, earlySkips  atomic.Int64
+	panics, wallTimeouts  atomic.Int64
 }
 
 // New builds a scheduler: testbeds are prepared up front (catalog scan,
@@ -161,34 +144,72 @@ func New(cfg Config) *Scheduler {
 // testbeds collapse into (of interest to benchmarks and progress output).
 func (s *Scheduler) Classes() int { return len(s.classes) }
 
-// CacheStats reports compiled-program cache hits, misses and evicted
-// entries so far.
-func (s *Scheduler) CacheStats() (hits, misses, evictions int64) { return s.cache.stats() }
-
-// ExecCounts reports physical interpreter runs so far by evaluator path:
-// thunk-compiled vs tree-walked (the fallback — ablation modes, or
-// programs the compiler declined).
-func (s *Scheduler) ExecCounts() (compiled, fallback int64) {
-	return s.compiled.Load(), s.fallback.Load()
+// Counters is the scheduler's diagnostic counter set. It is the single
+// path every diagnostic takes out of a campaign: campaign.Progress and
+// campaign.Result embed it, and the checkpoint carries it (as a tagged
+// twin) so totals stay cumulative across resumes. Counters describe
+// physical work, not findings, so they stay out of the accounting
+// contract and the checkpoint fingerprint. A new counter or timer is one
+// field here, summed by Add.
+type Counters struct {
+	// CacheHits/CacheMisses/CacheEvictions are the compiled-program
+	// (parse-and-resolve-once) cache counters.
+	CacheHits, CacheMisses, CacheEvictions int64
+	// Compiled/Fallback count physical interpreter runs by evaluator
+	// path: thunk-compiled programs vs tree-walked ones (ablation modes,
+	// or programs the compiler declined). In the default configuration
+	// Fallback stays at zero.
+	Compiled, Fallback int64
+	// ICHits/ICMisses/ICMega are the compiled evaluator's inline-cache
+	// counters (all zero under DisableShapes or DisableCompile).
+	ICHits, ICMisses, ICMega uint64
+	// Analyzed counts class executions that rode the analyze-once cached
+	// report; EarlyErrorSkips counts executions the static early-error
+	// gate short-circuited before any interpreter ran (in both analyze
+	// modes).
+	Analyzed, EarlyErrorSkips int64
+	// Panics/WallTimeouts count physical executions that ended in a
+	// recovered evaluator panic or a wall-clock watchdog abort (injected
+	// or real).
+	Panics, WallTimeouts int64
 }
 
-// ICStats reports the inline-cache hit / miss / megamorphic totals
-// accumulated across all executions so far.
-func (s *Scheduler) ICStats() (hit, miss, mega uint64) {
-	return s.icHit.Load(), s.icMiss.Load(), s.icMega.Load()
+// Add returns the field-wise sum of c and o.
+func (c Counters) Add(o Counters) Counters {
+	return Counters{
+		CacheHits:       c.CacheHits + o.CacheHits,
+		CacheMisses:     c.CacheMisses + o.CacheMisses,
+		CacheEvictions:  c.CacheEvictions + o.CacheEvictions,
+		Compiled:        c.Compiled + o.Compiled,
+		Fallback:        c.Fallback + o.Fallback,
+		ICHits:          c.ICHits + o.ICHits,
+		ICMisses:        c.ICMisses + o.ICMisses,
+		ICMega:          c.ICMega + o.ICMega,
+		Analyzed:        c.Analyzed + o.Analyzed,
+		EarlyErrorSkips: c.EarlyErrorSkips + o.EarlyErrorSkips,
+		Panics:          c.Panics + o.Panics,
+		WallTimeouts:    c.WallTimeouts + o.WallTimeouts,
+	}
 }
 
-// AnalyzeStats reports the analyze-once gate's activity so far: class
-// executions that rode a cached report, and executions the early-error
-// verdict short-circuited (the latter counts in both analyze modes).
-func (s *Scheduler) AnalyzeStats() (analyzed, earlySkips int64) {
-	return s.analyzed.Load(), s.earlySkips.Load()
-}
-
-// FaultStats reports physical executions that ended in a recovered
-// evaluator panic and in a wall-clock watchdog abort (injected or real).
-func (s *Scheduler) FaultStats() (panics, wallTimeouts int64) {
-	return s.panics.Load(), s.wallTimeouts.Load()
+// Counters snapshots the scheduler's counters so far. Each field is read
+// atomically; the snapshot as a whole is not, so a read racing live
+// executions may see one counter a run ahead of another.
+func (s *Scheduler) Counters() Counters {
+	return Counters{
+		CacheHits:       s.cache.hits.Load(),
+		CacheMisses:     s.cache.misses.Load(),
+		CacheEvictions:  s.cache.evictions.Load(),
+		Compiled:        s.compiled.Load(),
+		Fallback:        s.fallback.Load(),
+		ICHits:          s.icHit.Load(),
+		ICMisses:        s.icMiss.Load(),
+		ICMega:          s.icMega.Load(),
+		Analyzed:        s.analyzed.Load(),
+		EarlyErrorSkips: s.earlySkips.Load(),
+		Panics:          s.panics.Load(),
+		WallTimeouts:    s.wallTimeouts.Load(),
+	}
 }
 
 // caseState tracks one in-flight case across its testbed executions.
@@ -549,8 +570,4 @@ func (pc *parseCache) insertLocked(key parseKey, r parsedResult) {
 		pc.young = make(map[parseKey]parsedResult, pc.genCap)
 	}
 	pc.young[key] = r
-}
-
-func (pc *parseCache) stats() (hits, misses, evictions int64) {
-	return pc.hits.Load(), pc.misses.Load(), pc.evictions.Load()
 }

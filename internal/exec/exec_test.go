@@ -105,7 +105,8 @@ func TestBehaviorClassesCollapse(t *testing.T) {
 func TestParseCacheShares(t *testing.T) {
 	s := New(schedCfg(4))
 	collect(t, s, testSrcs)
-	hits, misses, _ := s.CacheStats()
+	ctr := s.Counters()
+	hits, misses := ctr.CacheHits, ctr.CacheMisses
 	if hits == 0 {
 		t.Error("parse cache recorded no hits on a full-testbed run")
 	}

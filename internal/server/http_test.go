@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -473,5 +474,55 @@ func TestSpecWireFormatGolden(t *testing.T) {
 	}
 	if !sp.DisableDedup || !sp.DisableResolve || !sp.DisableCompile || !sp.DisableShapes || !sp.DisableAnalyze {
 		t.Errorf("decoded spec lost a disable_* key: %+v", sp)
+	}
+}
+
+// TestSampleWireFormatGolden pins the event stream's sample format: every
+// sample of a short job carries exactly this key set, the names stream
+// clients (perfbench among them) decode by.
+func TestSampleWireFormatGolden(t *testing.T) {
+	want := []string{
+		"Analyzed", "CacheEvictions", "CacheHits", "CacheMisses",
+		"CheckpointFailures", "Checkpoints", "Compiled", "Done",
+		"EarlyErrorSkips", "Fallback", "FeaturesSeen", "FlaggedNondet",
+		"ICHits", "ICMega", "ICMisses", "Panics", "Total", "WallTimeouts",
+		"job_id", "state",
+	}
+	opt := testOptions(t)
+	_, ts := newTestServer(t, opt)
+	resp := postJSON(t, ts.URL+"/jobs", `{"fuzzer":"COMFORT","cases":12,"seed":2,"testbed_limit":2,"checkpoint_every":4}`)
+	var created Status
+	decodeBody(t, resp, &created)
+	stream, err := http.Get(ts.URL + "/jobs/" + created.ID + "/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stream.Body.Close()
+	samples := 0
+	sc := bufio.NewScanner(stream.Body)
+	for sc.Scan() {
+		payload, ok := strings.CutPrefix(sc.Text(), "data: ")
+		if !ok {
+			continue
+		}
+		var fields map[string]json.RawMessage
+		if err := json.Unmarshal([]byte(payload), &fields); err != nil {
+			t.Fatalf("bad sample %q: %v", payload, err)
+		}
+		keys := make([]string, 0, len(fields))
+		for k := range fields {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		if strings.Join(keys, ",") != strings.Join(want, ",") {
+			t.Fatalf("sample keys drifted:\n got %v\nwant %v", keys, want)
+		}
+		samples++
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatalf("stream read: %v", err)
+	}
+	if samples == 0 {
+		t.Fatal("stream delivered no samples")
 	}
 }
