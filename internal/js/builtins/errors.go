@@ -8,47 +8,47 @@ var errorKinds = []string{
 	"EvalError", "URIError", "InternalError",
 }
 
-// installErrors wires the full hierarchy at once — used by the capture
-// pass, whose realm must register every method table up front.
-func installErrors(r *registry) {
-	base := installErrorBase(r)
-	for _, kind := range errorKinds[1:] {
-		installErrorKind(r, base, kind)
+// errorSections defers the hierarchy per constructor: touching a global
+// error name (or throwing, via errorProtoMiss) installs the shared Error
+// base plus just that one kind. Most generated programs raise a single
+// error kind — usually TypeError — so a throwing realm pays for two
+// constructors instead of eight.
+var errorSections = func() []*section {
+	out := make([]*section, len(errorKinds))
+	for i, kind := range []string{
+		"Error", "EvalError", "RangeError", "ReferenceError",
+		"SyntaxError", "TypeError", "URIError", "InternalError",
+	} {
+		out[i] = newSection(func(r *registry) { forceError(r, kind) }, kind)
 	}
+	return out
+}()
+
+// errorProtoMiss is the realm's interp.ProtoMiss hook: a Throwf that needs
+// an error prototype the realm has not installed yet forces it.
+func errorProtoMiss(in *interp.Interp, kind string) {
+	forceError(&registry{in: in}, kind)
 }
 
-// installErrorsLazy defers the hierarchy per constructor: touching a
-// global error name (or throwing, via the interpreter's prototype-miss
-// hook) installs the shared Error base plus just that one kind. Most
-// generated programs raise a single error kind — usually TypeError — so
-// a throwing realm pays for two constructors instead of eight. Returns
-// the per-kind force hook for interp.ProtoMiss.
-func installErrorsLazy(r *registry, names []string) func(kind string) {
-	if r.capturing != nil {
-		installErrors(r)
-		return func(string) {}
+// forceError installs the Error base unless the realm has it, then the
+// named kind unless it is the base, already installed, or not a standard
+// kind. The realm's own prototype table is the "already installed" state:
+// the base registers Protos["Error"] before it binds the global, so the
+// nested resolution of a pending "Error" global finds it installed.
+func forceError(r *registry, kind string) {
+	base := r.in.Protos["Error"]
+	if base == nil {
+		base = installErrorBase(r)
 	}
-	in := r.in
-	var base *interp.Object
-	force := func(kind string) {
-		if base == nil {
-			base = installErrorBase(r)
-		}
-		if kind == "Error" || in.Protos[kind] != nil {
+	if kind == "Error" || r.in.Protos[kind] != nil {
+		return
+	}
+	for _, k := range errorKinds[1:] {
+		if k == kind {
+			installErrorKind(r, base, kind)
 			return
 		}
-		for _, k := range errorKinds[1:] {
-			if k == kind {
-				installErrorKind(r, base, kind)
-				return
-			}
-		}
 	}
-	for _, name := range names {
-		k := name
-		in.Global.SetLazy(k, func() { force(k) })
-	}
-	return force
 }
 
 // installErrorBase builds Error.prototype, its toString, and the Error

@@ -18,45 +18,47 @@ func installGlobals(r *registry) {
 	in.Global.SetSlot("undefined", interp.Undefined(), 0)
 	in.Global.SetSlot("globalThis", interp.ObjValue(in.Global), interp.Writable|interp.Configurable)
 
-	// print and console are built by one shared thunk so console.log stays
-	// an alias of print however the pair is first reached.
-	printed := false
-	installPrint := func() {
-		if printed {
-			return
-		}
-		printed = true
-		print := r.fn("print", 1, printImpl)
-		r.global("print", interp.ObjValue(print))
-		// console.log aliases print, since corpus programs use both.
-		console := in.NewObject(in.Protos["Object"])
-		console.SetSlot("log", interp.ObjValue(print), interp.DefaultAttr)
-		console.SetSlot("error", interp.ObjValue(print), interp.DefaultAttr)
-		console.SetSlot("warn", interp.ObjValue(print), interp.DefaultAttr)
-		r.global("console", interp.ObjValue(console))
+	r.lazy(printSection)
+	for _, s := range globalFnSections {
+		r.lazy(s)
 	}
-	in.Global.SetLazy("print", installPrint)
-	in.Global.SetLazy("console", installPrint)
+}
 
-	r.globalFn("eval", 1, evalImpl)
-	r.globalFn("parseInt", 2, parseIntImpl)
-	r.globalFn("parseFloat", 1, parseFloatImpl)
+// printSection builds print and console together, so console.log stays an
+// alias of print however the pair is first reached.
+var printSection = newSection(func(r *registry) {
+	print := r.fn("print", 1, printImpl)
+	r.global("print", interp.ObjValue(print))
+	// console.log aliases print, since corpus programs use both.
+	console := r.in.NewObject(r.in.Protos["Object"])
+	console.SetSlot("log", interp.ObjValue(print), interp.DefaultAttr)
+	console.SetSlot("error", interp.ObjValue(print), interp.DefaultAttr)
+	console.SetSlot("warn", interp.ObjValue(print), interp.DefaultAttr)
+	r.global("console", interp.ObjValue(console))
+}, "print", "console")
 
-	r.globalFn("isNaN", 1, func(in *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {
-		n, err := in.ToNumber(arg(args, 0))
-		if err != nil {
-			return interp.Undefined(), err
-		}
-		return interp.Bool(math.IsNaN(n)), nil
-	})
+var globalFnSections = []*section{
+	globalFnSection("eval", 1, evalImpl),
+	globalFnSection("parseInt", 2, parseIntImpl),
+	globalFnSection("parseFloat", 1, parseFloatImpl),
+	globalFnSection("isNaN", 1, isNaNImpl),
+	globalFnSection("isFinite", 1, isFiniteImpl),
+}
 
-	r.globalFn("isFinite", 1, func(in *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {
-		n, err := in.ToNumber(arg(args, 0))
-		if err != nil {
-			return interp.Undefined(), err
-		}
-		return interp.Bool(!math.IsNaN(n) && !math.IsInf(n, 0)), nil
-	})
+func isNaNImpl(in *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {
+	n, err := in.ToNumber(arg(args, 0))
+	if err != nil {
+		return interp.Undefined(), err
+	}
+	return interp.Bool(math.IsNaN(n)), nil
+}
+
+func isFiniteImpl(in *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {
+	n, err := in.ToNumber(arg(args, 0))
+	if err != nil {
+		return interp.Undefined(), err
+	}
+	return interp.Bool(!math.IsNaN(n) && !math.IsInf(n, 0)), nil
 }
 
 // printImpl implements the print builtin (and console.log/error/warn).

@@ -81,10 +81,10 @@ func installAll(r *registry) {
 	// Throwf needs the error prototypes for classification), so the
 	// interpreter's prototype-miss hook forces it too — per kind, so a
 	// throwing realm installs just the base plus the kind it raised.
-	in.ProtoMiss = installErrorsLazy(r, []string{
-		"Error", "EvalError", "RangeError", "ReferenceError",
-		"SyntaxError", "TypeError", "URIError", "InternalError",
-	})
+	for _, s := range errorSections {
+		r.lazy(s)
+	}
+	in.ProtoMiss = errorProtoMiss
 	installArray(r)
 	installString(r)
 	installNumber(r)
@@ -92,41 +92,51 @@ func installAll(r *registry) {
 	installRegExp(r)
 	installGlobals(r)
 
-	lazySection(r, []string{"Math"}, installMath)
-	lazySection(r, []string{"JSON"}, installJSON)
-	lazySection(r, []string{"Date"}, installDate)
-	lazySection(r, []string{
+	r.lazy(mathSection)
+	r.lazy(jsonSection)
+	r.lazy(dateSection)
+	r.lazy(typedArraySection)
+}
+
+// section is a stdlib section deferred until any of its global names is
+// touched; it installs at most once per realm. Its Lazy is built once per
+// process and takes the realm as an argument, so every realm — and every
+// copy of the realm template — shares it.
+type section struct {
+	names   []string
+	install func(*registry)
+	lazy    interp.Lazy
+}
+
+func newSection(install func(*registry), names ...string) *section {
+	return &section{names: names, install: install, lazy: interp.Lazy{
+		Install: func(in *interp.Interp) { install(&registry{in: in}) },
+	}}
+}
+
+var (
+	mathSection       = newSection(installMath, "Math")
+	jsonSection       = newSection(installJSON, "JSON")
+	dateSection       = newSection(installDate, "Date")
+	typedArraySection = newSection(installTypedArrays,
 		"ArrayBuffer",
 		"Int8Array", "Uint8Array", "Uint8ClampedArray",
 		"Int16Array", "Uint16Array",
 		"Int32Array", "Uint32Array",
 		"Float32Array", "Float64Array",
-		"DataView",
-	}, installTypedArrays)
-}
+		"DataView")
+)
 
-// lazySection defers one stdlib installer until any of its global names is
-// touched; the installer runs at most once per realm. It returns the
-// force-thunk so interpreter-internal consumers (the prototype-miss hook)
-// can trigger the section without a global read. The capture pass installs
-// immediately — its realm must register every method table.
-func lazySection(r *registry, names []string, install func(*registry)) func() {
+// lazy registers section s on the realm's global object. The capture pass
+// installs immediately — its realm must register every method table.
+func (r *registry) lazy(s *section) {
 	if r.capturing != nil {
-		install(r)
-		return func() {}
+		s.install(r)
+		return
 	}
-	installed := false
-	thunk := func() {
-		if installed {
-			return
-		}
-		installed = true
-		install(r)
+	for _, n := range s.names {
+		r.in.Global.SetLazy(r.in, n, &s.lazy)
 	}
-	for _, n := range names {
-		r.in.Global.SetLazy(n, thunk)
-	}
-	return thunk
 }
 
 // registry carries shared helpers for the install functions.
@@ -161,6 +171,8 @@ func (r *registry) fn(name string, arity int, f interp.NativeFunc) *interp.Objec
 // attachment per object instead of one closure + map insert per method.
 // Materialisation order remains the registration order, and
 // delete/overwrite interactions go through the lazy resolution in Object.
+// The capture pass runs every installer, so every registration a realm
+// can make is in a table.
 func (r *registry) method(obj *interp.Object, name string, arity int, f interp.NativeFunc) {
 	short := shortName(name)
 	if r.capturing != nil {
@@ -181,17 +193,13 @@ func (r *registry) method(obj *interp.Object, name string, arity int, f interp.N
 		obj.SetSlot(short, interp.ObjValue(r.fn(name, arity, f)), interp.Writable|interp.Configurable)
 		return
 	}
-	if t, ok := methodTables[name]; ok {
-		if obj.LazyTable() == nil {
-			obj.AttachLazyTable(t, r.in.Protos["Function"])
-		}
-		return
+	t, ok := methodTables[name]
+	if !ok {
+		panic("builtins: method " + name + " missing from the captured tables")
 	}
-	// Not captured (dynamically named registration): per-method lazy slot.
-	obj.SetLazy(short, func() {
-		fo := r.fn(name, arity, f)
-		obj.SetSlot(short, interp.ObjValue(fo), interp.Writable|interp.Configurable)
-	})
+	if obj.LazyTable() == nil {
+		obj.AttachLazyTable(r.in, t)
+	}
 }
 
 // global binds a value on the global object.
@@ -199,12 +207,12 @@ func (r *registry) global(name string, v interp.Value) {
 	r.in.Global.SetSlot(name, v, interp.Writable|interp.Configurable)
 }
 
-// globalFn binds a native function on the global object, building it
-// lazily on first access like method does.
-func (r *registry) globalFn(name string, arity int, f interp.NativeFunc) {
-	r.in.Global.SetLazy(name, func() {
+// globalFnSection defers one native function on the global object,
+// building it on first access like method does.
+func globalFnSection(name string, arity int, f interp.NativeFunc) *section {
+	return newSection(func(r *registry) {
 		r.global(name, interp.ObjValue(r.fn(name, arity, f)))
-	})
+	}, name)
 }
 
 // ctor creates a constructor function wired to a prototype object, registers

@@ -85,8 +85,9 @@ type Interp struct {
 	Cov    *Coverage
 	// ProtoMiss, when set, is invoked on a Protos lookup miss (see Proto)
 	// so the builtins package can materialise lazily-installed sections
-	// the interpreter itself depends on (the Error hierarchy).
-	ProtoMiss func(kind string)
+	// the interpreter itself depends on (the Error hierarchy). It receives
+	// the realm, so one realm-independent function serves every realm.
+	ProtoMiss func(in *Interp, kind string)
 	// MutableFuncName mirrors Config.MutableFuncName.
 	MutableFuncName bool
 	// SloppyStrictAssign mirrors Config.SloppyStrictAssign.

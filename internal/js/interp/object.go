@@ -230,24 +230,28 @@ type Object struct {
 
 	// lazyTab is a frozen, realm-independent native-method table shared by
 	// every realm (see NativeTable); tabPending is the bitmask of entries
-	// not yet materialised on this object, and lazyTabProto the realm's
-	// Function.prototype for materialised method objects. Attaching a
-	// table costs one pointer and one key-slice append per realm, where
-	// per-method lazy registration cost a closure and a map insert each.
-	lazyTab      *NativeTable
-	lazyTabProto *Object
-	tabPending   uint64
+	// not yet materialised on this object. Attaching a table costs one
+	// pointer and one key-slice append per realm, where per-method lazy
+	// registration cost a closure and a map insert each.
+	lazyTab    *NativeTable
+	tabPending uint64
+	// realm is the interpreter the deferred properties below materialise
+	// into: lazy installers run against it, and method objects built from
+	// lazyTab take its Function.prototype. Installers and tables are
+	// realm-independent, so this pointer is the only per-realm state a
+	// deferred property needs (a realm copy re-points it; see Template).
+	realm *Interp
 
-	// lazy holds own-property names and the thunks that materialise them
-	// on first access — deferred stdlib sections and prototype methods —
-	// as an append-only pair list in registration order. Registration is
-	// one slice append (the global object registers a few dozen lazy names
-	// on every realm build, so a map insert per name was a measurable
-	// construction cost); lookup is a short linear scan, paid only for the
-	// properties a program actually touches. A resolved entry keeps its
-	// position with a nil thunk so enumeration order matches the eager
-	// install order no matter which properties resolve first; lazyLeft
-	// counts the entries still pending.
+	// lazy holds own-property names and the installers that materialise
+	// them on first access — deferred stdlib sections — as an append-only
+	// pair list in registration order. Registration is one slice append
+	// (the global object registers a few dozen lazy names per realm, so a
+	// map insert per name was a measurable construction cost); lookup is
+	// a short linear scan, paid only for the properties a program
+	// actually touches. A resolved entry keeps its position with a nil
+	// installer so enumeration order matches the eager install order no
+	// matter which properties resolve first; lazyLeft counts the entries
+	// still pending.
 	lazy     []lazyProp
 	lazyLeft int
 	// lazyInstalling counts nested lazy-thunk executions; while non-zero,
@@ -298,15 +302,15 @@ type NativeTableEntry struct {
 const MaxNativeTableEntries = 64
 
 // AttachLazyTable wires a frozen method table onto the object, reserving
-// every entry's enumeration position. fnProto is the realm's
-// Function.prototype (the prototype of materialised method objects).
+// every entry's enumeration position. in is the object's realm, whose
+// Function.prototype materialised method objects take.
 // Shape-mode objects take the table as a prebuilt shape suffix: every
 // entry appends a pending slot, and the resulting leaf shape is cached on
 // the table so realms after the first pay one pointer compare instead of
 // per-name transitions.
-func (o *Object) AttachLazyTable(t *NativeTable, fnProto *Object) {
+func (o *Object) AttachLazyTable(in *Interp, t *NativeTable) {
 	o.lazyTab = t
-	o.lazyTabProto = fnProto
+	o.realm = in
 	if n := len(t.Entries); n >= 64 {
 		o.tabPending = ^uint64(0)
 	} else {
@@ -348,23 +352,35 @@ func (o *Object) AttachLazyTable(t *NativeTable, fnProto *Object) {
 // LazyTable returns the attached method table, if any.
 func (o *Object) LazyTable() *NativeTable { return o.lazyTab }
 
-// lazyProp is one deferred own property: the name and the thunk that
-// materialises it (nil once resolved).
+// lazyProp is one deferred own property: the name and the installer
+// that materialises it (nil once resolved).
 type lazyProp struct {
 	key     string
-	install func()
+	install *Lazy
+}
+
+// Lazy is a deferred stdlib section: Install materialises, into realm in,
+// every own property registered with this Lazy. It holds no per-realm
+// state — the realm arrives as the argument, and "already installed" is
+// the realm's own state (an installer that ran clears every sibling entry
+// it was registered under) — so one Lazy, built once per process, serves
+// every realm and every copy of a realm template.
+type Lazy struct {
+	Install func(in *Interp)
 }
 
 // hasLazy reports whether any own property is still unmaterialised.
 func (o *Object) hasLazy() bool { return o.lazyLeft > 0 || o.tabPending != 0 }
 
-// SetLazy registers a thunk that installs the named own property (and
-// possibly siblings sharing the thunk) when it is first needed. Used by
-// the builtins package to defer expensive stdlib sections and prototype
-// methods that most programs never touch. The thunk must install the key
-// it was registered under; the key's enumeration position is reserved at
+// SetLazy registers an installer that materialises the named own
+// property into realm in when it is first needed; keys registered with
+// the same Lazy are siblings, installed together by whichever is touched
+// first. Used by the builtins package to defer stdlib sections that most
+// programs never touch. The installer must install the key it was
+// registered under; the key's enumeration position is reserved at
 // registration so access order cannot perturb property order.
-func (o *Object) SetLazy(key string, install func()) {
+func (o *Object) SetLazy(in *Interp, key string, install *Lazy) {
+	o.realm = in
 	for i := range o.lazy {
 		if o.lazy[i].key == key {
 			// Re-registration: the key already holds its reserved position.
@@ -387,20 +403,25 @@ func (o *Object) SetLazy(key string, install func()) {
 }
 
 // resolveLazy materialises the named lazy property if one is pending. It
-// reports whether a thunk ran (callers then re-check props).
+// reports whether an installer ran (callers then re-check props).
 func (o *Object) resolveLazy(key string) bool {
 	if o.lazyLeft > 0 {
 		for i := range o.lazy {
 			if o.lazy[i].key == key {
-				th := o.lazy[i].install
-				if th == nil {
+				l := o.lazy[i].install
+				if l == nil {
 					break // already materialised
 				}
-				// Clear before running so a nested probe cannot re-enter.
-				o.lazy[i].install = nil
-				o.lazyLeft--
+				// Clear the key and its siblings before running, so the
+				// installer's own writes to them cannot re-enter it.
+				for j := range o.lazy {
+					if o.lazy[j].install == l {
+						o.lazy[j].install = nil
+						o.lazyLeft--
+					}
+				}
 				o.lazyInstalling++
-				th()
+				l.Install(o.realm)
 				o.lazyInstalling--
 				return true
 			}
@@ -410,7 +431,7 @@ func (o *Object) resolveLazy(key string) bool {
 		if i, ok := o.lazyTab.ByName[key]; ok && o.tabPending&(1<<i) != 0 {
 			o.tabPending &^= 1 << i
 			e := &o.lazyTab.Entries[i]
-			fo := NewNativeFunc(o.lazyTabProto, e.SpecKey, e.Short, e.Arity, e.Fn)
+			fo := NewNativeFunc(o.realm.Protos["Function"], e.SpecKey, e.Short, e.Arity, e.Fn)
 			o.lazyInstalling++
 			o.SetSlot(key, ObjValue(fo), Writable|Configurable)
 			o.lazyInstalling--
