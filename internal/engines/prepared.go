@@ -261,10 +261,15 @@ func newRealm(base interp.Config, opts RunOptions) *interp.Interp {
 	base.Fuel, base.Seed = opts.Fuel, opts.Seed
 	base.DisableCompile, base.DisableShapes = opts.DisableCompile, opts.DisableShapes
 	base.Watchdog = opts.Watchdog
-	in := builtins.NewRuntime(base)
+	in := newRuntime(base)
 	in.Cov = opts.Cov
 	return in
 }
+
+// newRuntime builds an execution's realm: a copy of the process's realm
+// template, or a fresh install for DisableShapes. A test swaps in fresh
+// construction for every mode to check the copy against it.
+var newRuntime = builtins.NewRuntime
 
 // classifyRunError maps an interpreter error to the Figure-5 per-testbed
 // outcome taxonomy.

@@ -7,15 +7,25 @@ import (
 	"comfort/internal/js/parser"
 )
 
-// BenchmarkNewRuntime measures realm construction — one full standard
-// library install. A differential campaign builds a fresh realm for every
-// physical testbed execution, so this is a direct term in campaign
-// throughput; the lazy method registration exists because of it
-// (EXPERIMENTS.md records the trajectory).
+// BenchmarkNewRuntime measures realm construction as executions get it —
+// a copy of the process's realm template. A differential campaign builds
+// a realm for every physical testbed execution, so this is a direct term
+// in campaign throughput (EXPERIMENTS.md records the trajectory).
 func BenchmarkNewRuntime(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		NewRuntime(interp.Config{})
+	}
+}
+
+// BenchmarkNewRuntimeFresh measures fresh realm construction — one full
+// standard-library Install on a bare interpreter — the path DisableShapes
+// realms and the template itself take, and the reference the copy is
+// checked against.
+func BenchmarkNewRuntimeFresh(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		Install(interp.New(interp.Config{}))
 	}
 }
 

@@ -12,11 +12,35 @@ import (
 	"comfort/internal/js/interp"
 )
 
-// NewRuntime creates an interpreter with the full standard library.
+// NewRuntime creates an interpreter with the full standard library. A
+// shape-mode config gets a copy of the process's realm template; a
+// DisableShapes config gets a fresh Install (the template is a shape-mode
+// realm, and fresh construction stays the reference the copy is checked
+// against).
 func NewRuntime(cfg interp.Config) *interp.Interp {
-	in := interp.New(cfg)
+	if cfg.DisableShapes {
+		in := interp.New(cfg)
+		Install(in)
+		return in
+	}
+	templateOnce.Do(buildTemplate)
+	return realmTemplate.New(cfg)
+}
+
+// The realm template: one fresh shape-mode Install per process, frozen
+// before anything runs in it. One template serves every behaviour class,
+// because installing reads no Config field but DisableShapes — defect
+// configuration (Config's MutableFuncName and SloppyStrictAssign, the
+// hook) is consulted at run time, on the copy.
+var (
+	templateOnce  sync.Once
+	realmTemplate *interp.Template
+)
+
+func buildTemplate() {
+	in := interp.New(interp.Config{})
 	Install(in)
-	return in
+	realmTemplate = interp.Freeze(in)
 }
 
 // Native-method tables: the first Install runs a capture pass on a

@@ -156,6 +156,15 @@ type Interp struct {
 // New creates an interpreter without the standard library; callers normally
 // use builtins.NewRuntime instead.
 func New(cfg Config) *Interp {
+	in := configured(cfg)
+	in.Global = in.NewObject(nil)
+	return in
+}
+
+// configured returns an interpreter with cfg's per-run fields set and empty
+// realm tables — everything New and Template.New share except the global
+// object.
+func configured(cfg Config) *Interp {
 	fuel := cfg.Fuel
 	if fuel <= 0 {
 		fuel = DefaultFuel
@@ -183,7 +192,6 @@ func New(cfg Config) *Interp {
 		watchdog:           cfg.Watchdog,
 		wdNext:             fuel - WatchdogStride,
 	}
-	in.Global = in.NewObject(nil)
 	in.GlobalEnv = NewEnv(nil, true)
 	return in
 }
