@@ -311,6 +311,8 @@ func (s *Supervisor) fenceJob(j *Job) {
 // record is replaced — if the epoch moved on, the lease already belongs
 // to someone else and is left alone.
 func (s *Supervisor) releaseLease(j *Job) {
+	j.leaseIO.Lock()
+	defer j.leaseIO.Unlock()
 	j.mu.Lock()
 	l := j.lease
 	j.lease = nil
@@ -350,23 +352,46 @@ func (s *Supervisor) renewLeases() {
 			s.fenceJob(j)
 			continue
 		}
-		cur, err := s.store.ReadLease(j.ID)
-		if err != nil || cur == nil || cur.Instance != l.Instance || cur.Epoch != l.Epoch {
-			s.fenceJob(j)
-			continue
+		if gate := s.renewGate; gate != nil {
+			gate(j.ID)
 		}
-		if s.killed.Load() {
+		if !s.renewLease(j, l) {
 			return
 		}
-		nl := s.newLease(l.Epoch)
-		if werr := s.store.WriteLease(j.ID, nl); werr == nil {
-			j.mu.Lock()
-			if j.lease == l {
-				j.lease = nl
-			}
-			j.mu.Unlock()
-		}
 	}
+}
+
+// renewLease extends one held lease l by a TTL. It runs under the job's
+// leaseIO lock, so a release cannot interleave with it: the record is
+// rewritten only while j.lease is still l and the file still carries l's
+// {instance, epoch} unreleased. A file that moved on fences the job. It
+// reports false once the instance is killed.
+func (s *Supervisor) renewLease(j *Job, l *Lease) bool {
+	j.leaseIO.Lock()
+	defer j.leaseIO.Unlock()
+	j.mu.Lock()
+	still := j.lease == l
+	j.mu.Unlock()
+	if !still {
+		return true // released or re-claimed since the snapshot
+	}
+	cur, err := s.store.ReadLease(j.ID)
+	if err != nil || cur == nil || cur.Instance != l.Instance || cur.Epoch != l.Epoch || cur.Released {
+		s.fenceJob(j)
+		return true
+	}
+	if s.killed.Load() {
+		return false
+	}
+	nl := s.newLease(l.Epoch)
+	if werr := s.store.WriteLease(j.ID, nl); werr == nil {
+		j.mu.Lock()
+		if j.lease == l {
+			j.lease = nl
+		}
+		j.mu.Unlock()
+	}
+	return true
 }
 
 // scanStore is the dead-peer takeover half of the maintenance tick: it

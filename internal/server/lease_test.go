@@ -417,3 +417,55 @@ func TestScanSkipsAdmittedJob(t *testing.T) {
 		t.Fatal("scan re-enqueued a job already admitted to run")
 	}
 }
+
+// TestRenewDoesNotResurrectReleasedLease interleaves the two lease
+// writers deterministically: a renewal snapshots a held, non-terminal
+// job's lease, the job completes and releases it, and only then does
+// the renewal re-read the file and write. The renewal must see that the
+// claim it snapshotted is gone and leave the released record in place;
+// writing a fresh unreleased lease would make the finished job look
+// held by this instance until the TTL ran out.
+func TestRenewDoesNotResurrectReleasedLease(t *testing.T) {
+	store, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSupervisor(twoInstanceOptions(store, newFakeClock(), "alpha"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown()
+
+	sp := Spec{Fuzzer: "COMFORT", Cases: 4, Seed: 2, TestbedLimit: 2}
+	st := Status{ID: jobID(1), Seq: 1, State: StateRunning, CasesTotal: sp.Cases}
+	if err := store.CreateJob(st, sp); err != nil {
+		t.Fatal(err)
+	}
+	j := &Job{ID: st.ID, Seq: st.Seq, Spec: sp, hub: newHub(), status: st}
+	s.mu.Lock()
+	s.jobs[j.ID] = j
+	s.order = append(s.order, j.ID)
+	s.mu.Unlock()
+	if err := s.claimJob(j); err != nil {
+		t.Fatalf("claim: %v", err)
+	}
+
+	released := 0
+	s.renewGate = func(id string) {
+		if id == j.ID && released == 0 {
+			released++
+			s.releaseLease(j) // the job finished between snapshot and write
+		}
+	}
+	s.renewLeases()
+	if released != 1 {
+		t.Fatal("renewal never reached the interleaving point")
+	}
+	l, err := store.ReadLease(j.ID)
+	if err != nil || l == nil || !l.Released || l.Epoch != 1 {
+		t.Fatalf("lease after release raced a renewal: %+v (err %v), want released epoch 1", l, err)
+	}
+	if j.lease != nil || j.isFenced() {
+		t.Fatalf("job state after the race: lease %+v fenced %v, want no claim and unfenced", j.lease, j.isFenced())
+	}
+}

@@ -139,6 +139,11 @@ type Job struct {
 	// leaves this instance again until a successful re-claim).
 	lease  *Lease
 	fenced bool
+	// leaseIO serialises this instance's read-compare-write of the lease
+	// file between renewal and release, so a renewal that snapshotted the
+	// lease before a release cannot write an unreleased record back over
+	// the released one.
+	leaseIO sync.Mutex
 	// inFlight counts this instance's admitted runJob goroutines. A job
 	// has no lease between its admission and its claim, so the
 	// maintenance scan must not read it as unclaimed and enqueue it a
@@ -202,6 +207,10 @@ type Supervisor struct {
 	// write for the job and may block — the SIGSTOP-emulation seam: a
 	// paused instance is one stuck between deciding to write and writing.
 	writeGate func(jobID string)
+	// renewGate, when set by a test, runs in renewLeases between taking a
+	// job's lease snapshot and re-reading the lease file — the seam for
+	// interleaving a release with a renewal deterministically.
+	renewGate func(jobID string)
 
 	mu       sync.Mutex
 	jobs     map[string]*Job
