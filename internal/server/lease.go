@@ -451,8 +451,18 @@ func (s *Supervisor) scanStore() {
 		if lerr == nil && cur != nil && cur.Instance != s.instance && cur.fresh(now) {
 			continue
 		}
+		if gate := s.scanGate; gate != nil {
+			gate(j.ID)
+		}
+		// Re-check under s.mu, which dispatch holds while it admits: a job
+		// admitted since the check above is running here already, and a
+		// second admission would run it twice (the second run re-claims
+		// the finished job's released lease under a new epoch).
 		s.mu.Lock()
-		if !s.draining {
+		j.mu.Lock()
+		admitted := j.lease != nil || j.inFlight > 0
+		j.mu.Unlock()
+		if !s.draining && !admitted {
 			s.enqueueLocked(j.ID)
 		}
 		s.mu.Unlock()

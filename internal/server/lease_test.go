@@ -469,3 +469,53 @@ func TestRenewDoesNotResurrectReleasedLease(t *testing.T) {
 		t.Fatalf("job state after the race: lease %+v fenced %v, want no claim and unfenced", j.lease, j.isFenced())
 	}
 }
+
+// TestScanSkipsJobAdmittedMidScan: dispatch may admit a job between the
+// maintenance scan judging it claimable and the scan enqueueing it. The
+// scan must see the admission and not enqueue the job a second time, or
+// a second run re-claims the job after the first one finished.
+func TestScanSkipsJobAdmittedMidScan(t *testing.T) {
+	store, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSupervisor(twoInstanceOptions(store, newFakeClock(), "alpha"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown()
+
+	sp := Spec{Fuzzer: "COMFORT", Cases: 4, Seed: 2, TestbedLimit: 2}
+	st := Status{ID: jobID(1), Seq: 1, State: StateQueued, CasesTotal: sp.Cases}
+	if err := store.CreateJob(st, sp); err != nil {
+		t.Fatal(err)
+	}
+	j := &Job{ID: st.ID, Seq: st.Seq, Spec: sp, hub: newHub(), status: st}
+	s.mu.Lock()
+	s.jobs[j.ID] = j
+	s.order = append(s.order, j.ID)
+	s.active = s.opt.MaxActive // park dispatch so the queue stays observable
+	s.mu.Unlock()
+
+	gated := 0
+	s.scanGate = func(id string) {
+		if id == j.ID {
+			gated++
+			j.mu.Lock()
+			j.inFlight++ // dispatch admitted the job while the scan ran
+			j.mu.Unlock()
+		}
+	}
+	s.scanStore()
+	s.mu.Lock()
+	requeued := s.queued[j.ID]
+	s.dequeueLocked(j.ID)
+	s.active = 0
+	s.mu.Unlock()
+	if gated != 1 {
+		t.Fatalf("scan reached the enqueue point %d times, want 1", gated)
+	}
+	if requeued {
+		t.Fatal("scan enqueued a job dispatch admitted during the scan")
+	}
+}

@@ -211,6 +211,10 @@ type Supervisor struct {
 	// job's lease snapshot and re-reading the lease file — the seam for
 	// interleaving a release with a renewal deterministically.
 	renewGate func(jobID string)
+	// scanGate, when set by a test, runs in scanStore after a job was
+	// judged claimable and before it is enqueued — the seam for admitting
+	// the job concurrently with the scan.
+	scanGate func(jobID string)
 
 	mu       sync.Mutex
 	jobs     map[string]*Job
