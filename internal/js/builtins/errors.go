@@ -2,10 +2,11 @@ package builtins
 
 import "comfort/internal/js/interp"
 
-// errorKinds lists the standard native error constructors.
+// errorKinds lists the standard native error constructors, in the order
+// their globals are registered.
 var errorKinds = []string{
-	"Error", "TypeError", "RangeError", "SyntaxError", "ReferenceError",
-	"EvalError", "URIError", "InternalError",
+	"Error", "EvalError", "RangeError", "ReferenceError",
+	"SyntaxError", "TypeError", "URIError", "InternalError",
 }
 
 // errorSections defers the hierarchy per constructor: touching a global
@@ -15,10 +16,7 @@ var errorKinds = []string{
 // constructors instead of eight.
 var errorSections = func() []*section {
 	out := make([]*section, len(errorKinds))
-	for i, kind := range []string{
-		"Error", "EvalError", "RangeError", "ReferenceError",
-		"SyntaxError", "TypeError", "URIError", "InternalError",
-	} {
+	for i, kind := range errorKinds {
 		out[i] = newSection(func(r *registry) { forceError(r, kind) }, kind)
 	}
 	return out

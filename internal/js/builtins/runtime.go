@@ -48,10 +48,8 @@ func buildTemplate() {
 // frozen, realm-independent interp.NativeTable per receiver object (the
 // method implementations only ever touch the interpreter passed at call
 // time, never the realm that registered them — the receiver parameter
-// shadows the installer's). Every later realm attaches the frozen table
-// (one pointer, one key-slice append) instead of re-registering each
-// method (a closure and a map insert per method per realm) — realm
-// construction is the campaign scheduler's single hottest path.
+// shadows the installer's). Every later install attaches the frozen table
+// instead of re-registering each method, and realm copies share it.
 var (
 	tableOnce sync.Once
 	// methodTables maps a method's canonical spec key to the frozen table

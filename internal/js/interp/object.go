@@ -3,7 +3,6 @@ package interp
 import (
 	"sort"
 	"strconv"
-	"sync/atomic"
 	"unicode/utf8"
 	"unsafe"
 
@@ -230,9 +229,9 @@ type Object struct {
 
 	// lazyTab is a frozen, realm-independent native-method table shared by
 	// every realm (see NativeTable); tabPending is the bitmask of entries
-	// not yet materialised on this object. Attaching a table costs one
-	// pointer and one key-slice append per realm, where per-method lazy
-	// registration cost a closure and a map insert each.
+	// not yet materialised on this object. A table reserves every entry's
+	// position without building a function object; entries materialise
+	// on first access.
 	lazyTab    *NativeTable
 	tabPending uint64
 	// realm is the interpreter the deferred properties below materialise
@@ -254,7 +253,7 @@ type Object struct {
 	// still pending.
 	lazy     []lazyProp
 	lazyLeft int
-	// lazyInstalling counts nested lazy-thunk executions; while non-zero,
+	// lazyInstalling counts nested lazy installs; while non-zero,
 	// SetSlot must not re-append a reserved key.
 	lazyInstalling int
 }
@@ -277,17 +276,6 @@ type NativeTable struct {
 	Names   []string
 	ByName  map[string]uint8
 	Entries []NativeTableEntry
-
-	// shapeCache memoises the shape suffix the table induces: attaching to
-	// an object whose shape matches `from` jumps straight to `to`. One
-	// entry suffices — a given table attaches to objects of one
-	// construction history (the realm's corresponding prototype).
-	shapeCache atomic.Pointer[tableShape]
-}
-
-// tableShape is a cached (attach-point shape → post-attach shape) pair.
-type tableShape struct {
-	from, to *Shape
 }
 
 // NativeTableEntry is one method of a NativeTable.
@@ -303,11 +291,9 @@ const MaxNativeTableEntries = 64
 
 // AttachLazyTable wires a frozen method table onto the object, reserving
 // every entry's enumeration position. in is the object's realm, whose
-// Function.prototype materialised method objects take.
-// Shape-mode objects take the table as a prebuilt shape suffix: every
-// entry appends a pending slot, and the resulting leaf shape is cached on
-// the table so realms after the first pay one pointer compare instead of
-// per-name transitions.
+// Function.prototype materialised method objects take. Shape-mode objects
+// take one transition and one pending slot per entry; the template makes
+// that a once-per-process cost (copies inherit the attached table).
 func (o *Object) AttachLazyTable(in *Interp, t *NativeTable) {
 	o.lazyTab = t
 	o.realm = in
@@ -317,31 +303,11 @@ func (o *Object) AttachLazyTable(in *Interp, t *NativeTable) {
 		o.tabPending = 1<<uint(n) - 1
 	}
 	if o.shape != nil {
-		if c := t.shapeCache.Load(); c != nil && c.from == o.shape {
-			o.shape = c.to
-		} else {
-			from := o.shape
-			sh := from
-			for _, name := range t.Names {
-				sh = sh.transition(name, Writable|Configurable)
-			}
-			o.shape = sh
-			t.shapeCache.Store(&tableShape{from: from, to: sh})
-		}
-		// One exact-size growth: per-entry appends reallocated the slot
-		// array several times per attach, and realms attach dozens of
-		// tables — the discarded intermediates dominated GC scan work.
 		base := len(o.slots)
-		need := base + len(t.Names)
-		if cap(o.slots) < need {
-			grown := make([]Value, need)
-			copy(grown, o.slots[:base])
-			o.slots = grown
-		} else {
-			o.slots = o.slots[:need]
-		}
-		for i := base; i < need; i++ {
-			o.slots[i] = Value{kind: kindPending}
+		o.slots = append(o.slots, make([]Value, len(t.Names))...)
+		for i, name := range t.Names {
+			o.shape = o.shape.transition(name, Writable|Configurable)
+			o.slots[base+i] = Value{kind: kindPending}
 		}
 		o.epoch++
 		return
