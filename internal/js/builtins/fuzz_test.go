@@ -50,8 +50,9 @@ func runRealm(in *interp.Interp, prog *ast.Program, tree bool) (o realmOutcome) 
 // arbitrary sources: for every source that parses, output, outcome, error
 // name and fuel must be identical on a copy of the realm template and on a
 // freshly installed realm, on both the compiled and the tree-walking
-// evaluator. Seeds are the embedded corpus, its fragments and every
-// catalog defect's witness.
+// evaluator. Seeds are the embedded corpus, its fragments, every catalog
+// defect's witness and the builtin-mutating programs of the independence
+// test.
 func FuzzRealmCopy(f *testing.F) {
 	for _, src := range corpus.Programs() {
 		f.Add(src)
@@ -62,6 +63,8 @@ func FuzzRealmCopy(f *testing.F) {
 	for _, d := range engines.Catalog() {
 		f.Add(d.Witness)
 	}
+	f.Add(mutator)
+	f.Add(probe)
 	f.Fuzz(func(t *testing.T, src string) {
 		prog, err := parser.Parse(src)
 		if err != nil {

@@ -27,11 +27,10 @@ type Template struct {
 	// first; every per-object table below is indexed by that position.
 	objs  []*Object
 	proto []int32 // prototype position, -1 for none
-	// slotAt/lazyAt are prefix offsets into vals/lazies: object i owns
-	// vals[slotAt[i]:slotAt[i+1]] and lazies[lazyAt[i]:lazyAt[i+1]].
-	slotAt, lazyAt []int32
-	vals           []Value
-	lazies         []lazyProp
+	// vals and lazies concatenate the objects' slots and lazy entries in
+	// object order.
+	vals   []Value
+	lazies []lazyProp
 	// refs are the positions in vals holding an object reference, with
 	// the referenced object's position: a copy's only slot fix-ups.
 	refs          []slotRef
@@ -50,13 +49,7 @@ type namedObj struct {
 // the template reads its objects on every New.
 func Freeze(in *Interp) *Template {
 	objs, pos := realmObjects(in)
-	t := &Template{
-		realm:  in,
-		objs:   objs,
-		proto:  make([]int32, len(objs)),
-		slotAt: make([]int32, len(objs)+1),
-		lazyAt: make([]int32, len(objs)+1),
-	}
+	t := &Template{realm: in, objs: objs, proto: make([]int32, len(objs))}
 	for i, o := range objs {
 		checkCopyable(in, o)
 		t.proto[i] = -1
@@ -70,8 +63,6 @@ func Freeze(in *Interp) *Template {
 			t.vals = append(t.vals, v)
 		}
 		t.lazies = append(t.lazies, o.lazy...)
-		t.slotAt[i+1] = int32(len(t.vals))
-		t.lazyAt[i+1] = int32(len(t.lazies))
 	}
 	for _, k := range sortedNames(in.Protos) {
 		t.protos = append(t.protos, namedObj{k, pos[in.Protos[k]]})
@@ -107,6 +98,7 @@ func (t *Template) New(cfg Config) *Interp {
 	copy(vals, t.vals)
 	lazies := make([]lazyProp, len(t.lazies))
 	copy(lazies, t.lazies)
+	var nv, nl int
 	for i, src := range t.objs {
 		o := &objs[i]
 		*o = *src
@@ -116,11 +108,13 @@ func (t *Template) New(cfg Config) *Interp {
 		// Full slice expressions: an append on a copy's slots or lazy
 		// entries reallocates instead of overwriting its slab neighbour.
 		o.slots, o.lazy = nil, nil
-		if a, b := t.slotAt[i], t.slotAt[i+1]; b > a {
-			o.slots = vals[a:b:b]
+		if n := len(src.slots); n > 0 {
+			o.slots = vals[nv : nv+n : nv+n]
+			nv += n
 		}
-		if a, b := t.lazyAt[i], t.lazyAt[i+1]; b > a {
-			o.lazy = lazies[a:b:b]
+		if n := len(src.lazy); n > 0 {
+			o.lazy = lazies[nl : nl+n : nl+n]
+			nl += n
 		}
 		if o.realm != nil {
 			o.realm = in
