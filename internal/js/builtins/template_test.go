@@ -48,7 +48,9 @@ func TestRealmCopyMatchesFreshInstall(t *testing.T) {
 			t.Fatalf("realm description lacks %q:\n%s", part, want)
 		}
 	}
-	if strings.Contains(want, "#15 ") || strings.Contains(want, "invocations=1") {
+	// Fifteen objects (the global object, seven constructors, seven
+	// prototypes), none of them ever invoked.
+	if strings.Contains(want, "#15 ") || strings.Count(want, " invocations=0 ") != 15 {
 		t.Fatalf("unexpected realm shape:\n%s", want)
 	}
 	for _, cfg := range []interp.Config{
